@@ -6,9 +6,10 @@ iterations, synthesize choice inverses, minimize predicates, probe the
 antidiagonal, and sweep a term corpus against the structural oracle.
 
 Exit codes: 0 on success, 1 when an evaluation fails (fuel, descent,
-stationarity, a rejected restriction), 2 on usage or type errors.  With
-`--format records` output is line-delimited key=value and byte-identical
-for identical invocations; `--seed` pins all sampling.
+stationarity, a rejected restriction), 2 on usage or type errors and on
+terms nested too deeply for the host stack.  With `--format records`
+output is line-delimited key=value and byte-identical for identical
+invocations; `--seed` pins all sampling.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .coding import IllTyped, NotAPredicateCode, num
 from .diagonal import liar_report_lines, run_liar
 from .gen import find_member, random_value
 from .machine import (
-    DescentViolation, Done, EvalFailure, FuelExhausted, NestedFuelExhausted,
-    Outcome, StatViolation, eval_iterative, trace,
+    Apply, DescentViolation, Done, EvalFailure, FuelExhausted,
+    NestedFuelExhausted, Outcome, StatViolation, eval_iterative, frame_cost,
+    trace,
 )
-from .ordinal import LESS, Ord, descent_check, ord_brackets, ord_cmp
+from .ordinal import LESS, Ord, ord_brackets, ord_cmp
 from .partial import (
     CCIDone, DescViolation, UnsupportedConstructor, audit_cci, cci_run,
     load_cci, middle_inverse_total, mu_search, structural_middle_inverse,
@@ -294,6 +296,12 @@ def _cmd_corpus(a) -> int:
               "descent_violations": 0, "fuel_exhausted": 0}
     max_steps = 0
     max_cx: Ord = ()
+    steps = 0
+
+    def count_step(idx: int, _cfg) -> None:
+        nonlocal steps
+        steps = idx + 1
+
     for raw in _read(corpus_path).splitlines():
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -304,12 +312,13 @@ def _cmd_corpus(a) -> int:
         rng = random.Random(f"{a.seed}:{rel}")
         mismatches = fuel_out = desc = 0
         term_steps = 0
-        term_cx: Ord = ()
+        # the machine checks that the measure falls at every step, so each
+        # run's first configuration, [Apply(t)], is its most complex one
+        term_cx: Ord = frame_cost(Apply(t)) if samples else ()
         for _ in range(samples):
             arg = random_value(rng, dom, cap)
-            ords: List[Ord] = []
-            got = eval_iterative(t, arg, a.fuel,
-                                 on_record=lambda i, c: ords.append(c.ord()))
+            steps = 0
+            got = eval_iterative(t, arg, a.fuel, on_record=count_step)
             try:
                 expected = eval_structural(t, arg)
             except EvalError:
@@ -322,12 +331,8 @@ def _cmd_corpus(a) -> int:
                 fuel_out += 1
             else:
                 mismatches += 1
-            if isinstance(got, DescentViolation) \
-                    or descent_check(ords) is not None:
-                desc += 1
-            term_steps = max(term_steps, len(ords))
-            if ords and ord_cmp(term_cx, ords[0]) == LESS:
-                term_cx = ords[0]
+            desc += isinstance(got, DescentViolation)
+            term_steps = max(term_steps, steps)
         totals["terms"] += 1
         totals["args"] += samples
         totals["mismatches"] += mismatches
@@ -395,6 +400,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except EvalError as e:
         print(f"evaluation failed: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # the parser, printer and evaluators recurse on the host stack
+        print("error: term nests too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

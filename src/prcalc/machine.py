@@ -141,17 +141,20 @@ def frame_cost(fr: Frame) -> Ord:
     PairRight with one to spare; an iteration frame omega-dominates the
     k-scaled pending frame it unfolds into; a pending frame sheds exactly
     one unit per unfolding; the reflected operators pop a flat cost of two.
+    Each margin compares only the popped frame with the frames pushed in
+    its place, which is all the step loop checks (see `_checked_step`).
     """
-    if isinstance(fr, Apply):
+    t = type(fr)
+    if t is Apply:
         return ord_nat_sum(complexity(fr.code), _ONE)
-    if isinstance(fr, PairLeft):
+    if t is PairLeft:
         return ord_nat_sum(complexity(fr.g), (3,))
-    if isinstance(fr, PairRight):
+    if t is PairRight:
         return _ONE
-    if isinstance(fr, IterPending):
+    if t is IterPending:
         per = ord_nat_sum(complexity(fr.g), (2,))
         return ord_nat_sum(ord_nat_scale(fr.remaining, per), _ONE)
-    if isinstance(fr, RestrictCheck):
+    if t is RestrictCheck:
         return ord_nat_sum(complexity(fr.ab.chi), _ONE)
     raise TypeError(f"not a frame: {fr!r}")
 
@@ -168,44 +171,62 @@ def _acc_sub(acc: List[int], o: Ord) -> None:
         acc[i] -= c
 
 
+def _trim(acc) -> Ord:
+    i = len(acc)
+    while i and acc[i - 1] == 0:
+        i -= 1
+    return tuple(acc[:i])
+
+
+def _raw_sum(costs) -> List[int]:
+    acc: List[int] = []
+    for c in costs:
+        _acc_add(acc, c)
+    return acc
+
+
 class Config:
     """Machine state: frame stack (top at the end), current value, and the
     object the value inhabits.
 
-    The total complexity is maintained incrementally: the natural sum is a
-    coefficientwise sum, hence cancellative, so pushing adds a frame's cost
-    and popping subtracts it.
+    `costs[i]` is `frame_cost(frames[i])`, paid once when the frame is
+    pushed.  The total complexity is the natural sum of `costs`.  The
+    natural sum is a coefficientwise sum, hence cancellative, so a running
+    total can be kept by adding a cost on push and subtracting it on pop;
+    that total (`_acc`) is only built on the first `ord()` call, because
+    the step loop never needs it: the descent check is local.
     """
 
-    __slots__ = ("frames", "current", "value_obj", "_acc")
+    __slots__ = ("frames", "costs", "current", "value_obj", "_acc")
 
     def __init__(self, frames, current: Value, value_obj: Obj):
         self.frames: List[Frame] = list(frames)
+        self.costs: List[Ord] = [frame_cost(fr) for fr in self.frames]
         self.current = current
         self.value_obj = value_obj
-        acc: List[int] = []
-        for fr in self.frames:
-            _acc_add(acc, frame_cost(fr))
-        self._acc = acc
+        self._acc: Optional[List[int]] = None
 
     def ord(self) -> Ord:
         acc = self._acc
-        i = len(acc)
-        while i and acc[i - 1] == 0:
-            i -= 1
-        return tuple(acc[:i])
+        if acc is None:
+            acc = self._acc = _raw_sum(self.costs)
+        return _trim(acc)
 
     def halted(self) -> bool:
         return not self.frames
 
     def _push(self, fr: Frame) -> None:
+        cost = frame_cost(fr)
         self.frames.append(fr)
-        _acc_add(self._acc, frame_cost(fr))
+        self.costs.append(cost)
+        if self._acc is not None:
+            _acc_add(self._acc, cost)
 
     def _pop(self) -> Frame:
-        fr = self.frames.pop()
-        _acc_sub(self._acc, frame_cost(fr))
-        return fr
+        cost = self.costs.pop()
+        if self._acc is not None:
+            _acc_sub(self._acc, cost)
+        return self.frames.pop()
 
     def __repr__(self):
         return (f"Config(frames={len(self.frames)}, "
@@ -361,8 +382,9 @@ def _config_from_nums(nu: int, nv: int) -> Config:
 # ---------------------------------------------------------------------------
 # transitions
 
-_BASIC = (Id, Bang, ZeroC, Succ, ProjL, ProjR, TrueC, FalseC, NotC, EqNat,
-          Incl, ConstVal)
+# dispatch is on exact type: no term or frame class has subclasses
+_BASIC_T = frozenset((Id, Bang, ZeroC, Succ, ProjL, ProjR, TrueC, FalseC,
+                      NotC, EqNat, Incl, ConstVal))
 
 
 def _fire(cfg: Config, tank: FuelTank) -> None:
@@ -370,25 +392,26 @@ def _fire(cfg: Config, tank: FuelTank) -> None:
     if not cfg.frames:
         return
     top = cfg.frames[-1]
-    if isinstance(top, Apply):
+    t = type(top)
+    if t is Apply:
         _apply(cfg, top.code, tank)
-    elif isinstance(top, PairLeft):
+    elif t is PairLeft:
         cfg._pop()
         g_dom, g_cod = typecheck(top.g)
         cfg._push(PairRight(cfg.current, top.left_cod, g_cod))
         cfg._push(Apply(top.g))
         cfg.current = top.saved
         cfg.value_obj = g_dom
-    elif isinstance(top, PairRight):
+    elif t is PairRight:
         cfg._pop()
         cfg.current = PairV(top.left, cfg.current)
         cfg.value_obj = Prod(top.left_obj, top.right_cod)
-    elif isinstance(top, IterPending):
+    elif t is IterPending:
         cfg._pop()
         if top.remaining > 0:
             cfg._push(IterPending(top.g, top.remaining - 1))
             cfg._push(Apply(top.g))
-    elif isinstance(top, RestrictCheck):
+    elif t is RestrictCheck:
         ab = top.ab
         if eval_structural(ab.chi, cfg.current) != NatV(1):
             raise EvalError("restriction predicate rejected the value")
@@ -399,20 +422,21 @@ def _fire(cfg: Config, tank: FuelTank) -> None:
 
 
 def _apply(cfg: Config, u: Term, tank: FuelTank) -> None:
-    if isinstance(u, _BASIC):
+    t = type(u)
+    if t in _BASIC_T:
         cfg._pop()
         cfg.current = eval_structural(u, cfg.current)
         cfg.value_obj = typecheck(u)[1]
-    elif isinstance(u, Comp):
+    elif t is Comp:
         cfg._pop()
         cfg._push(Apply(u.g))
         cfg._push(Apply(u.f))
-    elif isinstance(u, Pair):
+    elif t is Pair:
         cfg._pop()
         _, f_cod = typecheck(u.f)
         cfg._push(PairLeft(u.g, cfg.current, f_cod))
         cfg._push(Apply(u.f))
-    elif isinstance(u, Cyl):
+    elif t is Cyl:
         cur = cfg.current
         if not isinstance(cur, PairV):
             raise EvalError("cylinder expects a pair")
@@ -422,7 +446,7 @@ def _apply(cfg: Config, u: Term, tank: FuelTank) -> None:
         cfg._push(Apply(u.g))
         cfg.current = cur.right
         cfg.value_obj = g_dom
-    elif isinstance(u, Iter):
+    elif t is Iter:
         cur = cfg.current
         if not (isinstance(cur, PairV) and isinstance(cur.right, NatV)):
             raise EvalError("iteration expects (start, count)")
@@ -430,11 +454,11 @@ def _apply(cfg: Config, u: Term, tank: FuelTank) -> None:
         cfg._push(IterPending(u.g, cur.right.n))
         cfg.current = cur.left
         cfg.value_obj = typecheck(u.g)[0]
-    elif isinstance(u, Restrict):
+    elif t is Restrict:
         cfg._pop()
         cfg._push(RestrictCheck(u.ab))
         cfg._push(Apply(u.f))
-    elif isinstance(u, DMinus):
+    elif t is DMinus:
         cfg._pop()
         a = cfg.current
         dom_p, _ = typecheck(u.p)
@@ -449,7 +473,7 @@ def _apply(cfg: Config, u: Term, tank: FuelTank) -> None:
             k += 1
         cfg.current = PairV(a, NatV(k))
         cfg.value_obj = Prod(dom_p, NAT)
-    elif isinstance(u, CDot):
+    elif t is CDot:
         nu, _ = _reflected_input(cfg.current)
         cfg._pop()
         cost = _ccost_memo.get(nu)
@@ -465,7 +489,7 @@ def _apply(cfg: Config, u: Term, tank: FuelTank) -> None:
             _ccost_memo[nu] = cost
         cfg.current = NatV(cost)
         cfg.value_obj = NAT
-    elif isinstance(u, EDot):
+    elif t is EDot:
         nu, nv = _reflected_input(cfg.current)
         cfg._pop()
         hit = _estep_memo.get((nu, nv))
@@ -497,7 +521,7 @@ def _apply(cfg: Config, u: Term, tank: FuelTank) -> None:
                 cfg.current = PairV(NatV(out[0]), NatV(out[1]))
         # a halted configuration is a fixed point of the reflected step
         cfg.value_obj = NN
-    elif isinstance(u, HashC):
+    elif t is HashC:
         cur = cfg.current
         if not isinstance(cur, NatV):
             raise EvalError("hash expects a number")
@@ -536,25 +560,44 @@ def step(cfg: Config, tank: Optional[FuelTank] = None) -> Config:
 # the run loop
 
 def _checked_step(cfg: Config, tank: FuelTank, idx: int) -> None:
-    before = cfg.ord()
+    """Spend one unit of fuel, fire, and check that the measure fell.
+
+    Every transition pops exactly the top frame and pushes zero to two
+    frames on top of the rest of the stack.  The natural sum is
+    cancellative and strictly monotone, so with R the untouched rest,
+    P the popped cost and Q the pushed costs, R + sum(Q) < R + P holds
+    exactly when sum(Q) < P: comparing those two is the whole descent
+    check.  The full before/after measures are built only to report a
+    violation.
+    """
+    costs = cfg.costs
+    n = len(costs) - 1
+    popped = costs[n]
     tank.spend()
     _fire(cfg, tank)
-    after = cfg.ord()
-    if ord_cmp(after, before) != LESS:
-        raise _DescentErr(idx, before, after)
+    pushed: Ord = ()
+    for c in costs[n:]:
+        pushed = ord_nat_sum(pushed, c)
+    if ord_cmp(pushed, popped) != LESS:
+        before = _trim(_raw_sum(costs[:n] + [popped]))
+        raise _DescentErr(idx, before, _trim(_raw_sum(costs)))
 
 
 def _machine_run(cfg: Config, tank: FuelTank,
                  tail: Optional[deque] = None,
                  on_record: Optional[Callable[[int, Config], None]] = None,
                  ) -> Value:
+    """Step cfg to the empty stack.  When tail is given, each step appends
+    (index, raw running total); `_tail_entries` trims them."""
     idx = 0
-    while not cfg.halted():
+    if tail is not None:
+        cfg.ord()  # builds the running total the tail snapshots
+    while cfg.frames:
         if on_record is not None:
             on_record(idx, cfg)
         _checked_step(cfg, tank, idx)
         if tail is not None:
-            tail.append((idx, cfg.ord()))
+            tail.append((idx, tuple(cfg._acc)))
         idx += 1
     # stationarity probe: stepping the empty stack must change nothing
     cur, vo = cfg.current, cfg.value_obj
@@ -562,6 +605,10 @@ def _machine_run(cfg: Config, tank: FuelTank,
     if cfg.frames or cfg.current is not cur or cfg.value_obj is not vo:
         raise _StatErr(idx)
     return cfg.current
+
+
+def _tail_entries(tail: deque) -> Tuple[Tuple[int, Ord], ...]:
+    return tuple((i, _trim(acc)) for i, acc in tail)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +668,8 @@ def eval_iterative(u: Term, v: Value, fuel: int = DEFAULT_FUEL,
         result = _machine_run(cfg, tank, tail=tail, on_record=on_record)
     except _OutOfFuel as e:
         if e.nested:
-            return NestedFuelExhausted(tuple(tail))
-        return FuelExhausted(tuple(tail))
+            return NestedFuelExhausted(_tail_entries(tail))
+        return FuelExhausted(_tail_entries(tail))
     except _DescentErr as e:
         return DescentViolation(e.step, e.before, e.after)
     except _StatErr as e:

@@ -32,10 +32,6 @@ def ord_from_nat(n: int) -> Ord:
     return (n,) if n else ()
 
 
-def ord_is_zero(x: Ord) -> bool:
-    return not x
-
-
 def ord_cmp(x: Ord, y: Ord) -> int:
     """Compare degree first, then coefficients from the highest power down."""
     if len(x) != len(y):

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
+import prcalc.machine as machine
 from prcalc.cli import main
 from prcalc.partial import gcd_state
 from prcalc.surface import parse_term, print_value
 from prcalc.term import NatV, PairV
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def run_cli(argv):
@@ -183,6 +185,29 @@ class TestCorpus:
         assert "ok=True" in out
         assert "max_steps=" in out and "max_complexity=" in out
 
+    def test_summary_line_matches_readme(self):
+        readme = (ROOT / "README.md").read_text().splitlines()
+        want = [line for line in readme if line.startswith("summary: ")]
+        assert len(want) == 1
+        code, out, _ = run_cli(["corpus", "--term", str(CORPUS / "corpus.txt"),
+                                "--seed", "0"])
+        assert code == 0
+        assert out.splitlines()[-1] == want[0]
+
+    def test_machine_descent_violations_are_counted(self, tmp_path,
+                                                    monkeypatch):
+        # with every code priced at zero, each run's first step (an
+        # iteration unfolding into a pending frame) fails to descend
+        (tmp_path / "add.pr").write_text((CORPUS / "add.pr").read_text())
+        listing = tmp_path / "one.txt"
+        listing.write_text("add.pr samples=7\n")
+        monkeypatch.setattr(machine, "complexity", lambda c: ())
+        code, out, _ = run_cli(["corpus", "--term", str(listing),
+                                "--format", "records"])
+        assert code == 1
+        assert "descent_violations=7\n" in out
+        assert out.endswith("ok=False\n")
+
 
 class TestUsageErrors:
     def test_missing_term_flag(self):
@@ -193,6 +218,12 @@ class TestUsageErrors:
     def test_unreadable_file(self):
         code, _, err = run_cli(["check", "--term", "/nonexistent/x.pr"])
         assert code == 2
+
+    def test_deeply_nested_term(self, tmp_path):
+        p = tmp_path / "deep.pr"
+        p.write_text("(comp succ " * 3000 + "succ" + ")" * 3000 + "\n")
+        code, out, err = run_cli(["check", "--term", str(p)])
+        assert (code, out, err) == (2, "", "error: term nests too deeply\n")
 
     def test_malformed_term_file(self, tmp_path):
         p = tmp_path / "bad.pr"

@@ -1,11 +1,13 @@
 """Step machine: descent, outcomes, configuration coding, reflected ops."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 import prcalc.machine as machine
 from prcalc.coding import encode_ord, from_num, hashc_num, num, quote
+from prcalc.gen import random_value
 from prcalc.machine import (
     Apply, Config, DescentViolation, Done, EvalFailure, FuelExhausted,
     FuelTank, IterPending, NestedFuelExhausted, PairLeft, RestrictCheck,
@@ -14,12 +16,15 @@ from prcalc.machine import (
     objectivity_check, sd_pair, sd_unpair, step, trace,
 )
 from prcalc.ordinal import descent_check, ord_cmp
+from prcalc.surface import parse_term
 from prcalc.term import (
     Bang, CDot, Comp, ConstVal, DMinus, EDot, EvalError, HashC, Id, Iter,
     NAT, NN, NatV, Pair, PairV, Prod, ProjL, ProjR, Restrict, Succ, TWO,
     TypeMismatch, UNIT, UNITV, ZeroC, add, eval_structural, lt2, mul, pred,
     typecheck,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 N = NatV
 P = PairV
@@ -67,14 +72,24 @@ class TestComplexity:
         assert cfg.ord() == (7,)
 
     def test_incremental_matches_recomputed(self):
+        # stored costs and the lazily built running total stay equal to a
+        # from-scratch recomputation while the local descent check runs
         rng = random.Random(5)
-        cfg = machine._launch(POW, nat2(2, 3))
-        tank = FuelTank(10 ** 5)
-        for _ in range(200):
-            if cfg.halted():
-                break
-            step(cfg, tank)
-            assert cfg.ord() == config_complexity(cfg)
+        cases = [(POW, nat2(2, 3)), (DMinus(Id(NAT), pred), N(3))]
+        for name in ("cyl_pred.pr", "pair_track.pr", "restrict3.pr",
+                     "shrink_decay.pr", "cond_two.pr"):
+            t = parse_term((CORPUS / name).read_text())
+            cases.append((t, random_value(rng, typecheck(t)[0], 5)))
+        for t, v in cases:
+            cfg = machine._launch(t, v)
+            tank = FuelTank(10 ** 5)
+            for idx in range(3000):
+                if cfg.halted():
+                    break
+                machine._checked_step(cfg, tank, idx)
+                assert cfg.costs == [frame_cost(f) for f in cfg.frames]
+                assert cfg.ord() == config_complexity(cfg)
+            assert cfg.halted(), t
 
 
 class TestStep:
@@ -139,10 +154,23 @@ class TestEvalIterative:
         assert cfg.current == out.value
 
     def test_descent_violation_detected(self, monkeypatch):
-        monkeypatch.setattr(machine, "complexity", lambda c: ())
-        out = eval_iterative(Comp(Succ(), Succ()), N(0), 100)
-        assert isinstance(out, DescentViolation)
-        assert ord_cmp(out.after, out.before) >= 0
+        # the pair misprices only its inner composition, so descent breaks
+        # at step 1 with a PairLeft frame left below the broken step
+        paired = Pair(Comp(Succ(), Succ()), Succ())
+        monkeypatch.setattr(machine, "complexity",
+                            lambda c: (9,) if c is paired else ())
+        for t, broken_at in ((Comp(Succ(), Succ()), 0), (paired, 1)):
+            out = eval_iterative(t, N(0), 100)
+            assert isinstance(out, DescentViolation)
+            assert out.step == broken_at
+            assert ord_cmp(out.after, out.before) >= 0
+            cfg = machine._launch(t, N(0))
+            tank = FuelTank(100)
+            for _ in range(out.step):
+                step(cfg, tank)
+            assert config_complexity(cfg) == out.before
+            step(cfg, tank)
+            assert config_complexity(cfg) == out.after
 
 
 class TestDescent:
