@@ -6,8 +6,9 @@ iterations, synthesize choice inverses, minimize predicates, probe the
 antidiagonal, and sweep a term corpus against the structural oracle.
 
 Exit codes: 0 on success, 1 when an evaluation fails (fuel, descent,
-stationarity, a rejected restriction), 2 on usage or type errors and on
-terms nested too deeply for the host stack.  With `--format records`
+stationarity, a rejected restriction), 2 on usage or type errors, on
+terms nested too deeply for the host stack, and on numerals past the
+host's limit on decimal digits.  With `--format records`
 output is line-delimited key=value and byte-identical for identical
 invocations; `--seed` pins all sampling.
 """
@@ -35,8 +36,8 @@ from .partial import (
 )
 from .partial import Done as ParDone
 from .partial import FuelExhausted as ParFuel
-from .surface import ParseError, parse_term, parse_value, print_obj, \
-    print_term, print_value
+from .surface import NumeralTooLong, ParseError, parse_term, parse_value, \
+    print_nat, print_obj, print_term, print_value
 from .term import Comp, EvalError, TypeMismatch, eval_structural, typecheck
 
 DEFAULT_FUEL = 10 ** 6
@@ -175,9 +176,8 @@ def _cmd_eval(a) -> int:
 
 def _cmd_quote(a) -> int:
     t = _load_term(_need(a.term, "--term", "quote"))
-    lines = [f"code={print_term(t)}", f"num={num(t)}"]
-    if a.format != "records":
-        lines = [print_term(t), str(num(t))]
+    code, n = print_term(t), print_nat(num(t))
+    lines = [f"code={code}", f"num={n}"] if a.format == "records" else [code, n]
     _emit(lines, a.trace_path)
     return 0
 
@@ -393,8 +393,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (ParseError, TypeMismatch, IllTyped, NotAPredicateCode,
-            UnsupportedConstructor) as e:
+    except (ParseError, NumeralTooLong, TypeMismatch, IllTyped,
+            NotAPredicateCode, UnsupportedConstructor) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except EvalError as e:

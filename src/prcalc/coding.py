@@ -19,7 +19,6 @@ rank order; num is strictly monotone along it.
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
 from .term import (
@@ -29,6 +28,9 @@ from .term import (
     UNITV, Unit, Nat, NatV, UnitV, Value, ZeroC, eval_structural, lt2,
     typecheck, value_check, zero_value,
 )
+# one integer Cantor pairing, shared with the structural evaluator's host
+# arithmetic for the cantor_pair and cantor_unpair terms
+from .term import nat_pair as cantor_pair, nat_unpair as cantor_unpair
 
 Code = Term  # codes and terms share one representation
 
@@ -39,21 +41,6 @@ class IllTyped(Exception):
 
 class NotAPredicateCode(Exception):
     """Argument to the predicate-count inverse is not a code of type N -> Two."""
-
-
-### Cantor pairing
-
-def cantor_pair(x: int, y: int) -> int:
-    """The diagonal bijection N x N -> N."""
-    s = x + y
-    return s * (s + 1) // 2 + y
-
-
-def cantor_unpair(n: int) -> Tuple[int, int]:
-    w = (isqrt(8 * n + 1) - 1) // 2
-    t = w * (w + 1) // 2
-    y = n - t
-    return w - y, y
 
 
 ### self-delimiting pairing and value numbers

@@ -20,6 +20,7 @@ which is deliberately outside the grammar and will not re-parse.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -38,6 +39,11 @@ class ParseError(Exception):
         self.position = position
         self.expectation = expectation
         super().__init__(f"at offset {position}: expected {expectation}")
+
+
+class NumeralTooLong(Exception):
+    """A natural with more decimal digits than the host converts, which is
+    4300 by default (sys.get_int_max_str_digits)."""
 
 
 class RefusesConstVal(Exception):
@@ -191,8 +197,13 @@ def _parse_term(cur: _Cursor) -> Term:
 
 def _parse_value(cur: _Cursor) -> Value:
     tok = cur.take("a value")
-    if tok.text.isdigit():
-        return NatV(int(tok.text))
+    if tok.text.isascii() and tok.text.isdigit():
+        try:
+            return NatV(int(tok.text))
+        except ValueError:
+            raise NumeralTooLong(
+                f"at offset {tok.pos}: numeral has {len(tok.text)} digits, "
+                f"past the limit of {sys.get_int_max_str_digits()}") from None
     if tok.text == "(":
         nxt = cur.peek()
         if nxt is not None and nxt.text == ")":
@@ -263,9 +274,19 @@ def print_obj(obj: Obj) -> str:
     return f"(abstr {print_obj(obj.carrier)} {print_term(obj.chi)})"
 
 
+def print_nat(n: int) -> str:
+    """n in decimal, or NumeralTooLong past the host's digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise NumeralTooLong(
+            f"a {n.bit_length()}-bit number has more than "
+            f"{sys.get_int_max_str_digits()} decimal digits") from None
+
+
 def print_value(v: Value) -> str:
     if isinstance(v, NatV):
-        return str(v.n)
+        return print_nat(v.n)
     if isinstance(v, UnitV):
         return "()"
     return f"({print_value(v.left)},{print_value(v.right)})"

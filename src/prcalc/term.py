@@ -15,7 +15,8 @@ machine's configuration encoding and has no surface form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from math import isqrt
+from typing import Callable, Dict, Optional, Tuple, Union
 
 
 class TypeMismatch(Exception):
@@ -402,69 +403,80 @@ def depth(t: Term) -> int:
 
 def eval_structural(t: Term, v: Value) -> Value:
     """Total evaluator by structural recursion.  Reflected constructors are
-    refused: their semantics is the step machine's."""
-    if isinstance(t, Comp):
+    refused: their semantics is the step machine's.
+
+    The module-level standard-library nodes in _HOST are computed with host
+    integers; any other node, a structural copy of a stdlib node included,
+    takes the plain tree walk, which stays the reference."""
+    k = type(t)
+    if k is Comp or k is Iter:
+        entry = _HOST.get(id(t))
+        if entry is not None:
+            out = entry[1](v)
+            if out is not None:
+                return out
+    if k is Comp:
         return eval_structural(t.g, eval_structural(t.f, v))
-    if isinstance(t, Pair):
+    if k is Pair:
         return PairV(eval_structural(t.f, v), eval_structural(t.g, v))
-    if isinstance(t, Id):
+    if k is Id:
         return v
-    if isinstance(t, ProjL):
+    if k is ProjL:
         if not isinstance(v, PairV):
             raise EvalError("projection needs a pair")
         return v.left
-    if isinstance(t, ProjR):
+    if k is ProjR:
         if not isinstance(v, PairV):
             raise EvalError("projection needs a pair")
         return v.right
-    if isinstance(t, Succ):
+    if k is Succ:
         if not isinstance(v, NatV):
             raise EvalError("successor needs a natural")
         return NatV(v.n + 1)
-    if isinstance(t, Iter):
+    if k is Iter:
         if not (isinstance(v, PairV) and isinstance(v.right, NatV)):
             raise EvalError("iteration needs (start, count)")
         acc = v.left
         for _ in range(v.right.n):
             acc = eval_structural(t.g, acc)
         return acc
-    if isinstance(t, Cyl):
+    if k is Cyl:
         if not isinstance(v, PairV):
             raise EvalError("cylinder needs a pair")
         return PairV(v.left, eval_structural(t.g, v.right))
-    if isinstance(t, Bang):
+    if k is Bang:
         return UNITV
-    if isinstance(t, ZeroC):
+    if k is ZeroC:
         z = zero_value(t.obj)
         if has_abstr(t.obj) and not value_check(t.obj, z):
             raise EvalError("zero is not a member of the abstraction")
         return z
-    if isinstance(t, TrueC):
+    if k is TrueC:
         return NatV(1)
-    if isinstance(t, FalseC):
+    if k is FalseC:
         return NatV(0)
-    if isinstance(t, NotC):
+    if k is NotC:
         if not isinstance(v, NatV) or v.n not in (0, 1):
             raise EvalError("negation needs a truth value")
         return NatV(1 - v.n)
-    if isinstance(t, EqNat):
+    if k is EqNat:
         if not (isinstance(v, PairV) and isinstance(v.left, NatV)
                 and isinstance(v.right, NatV)):
             raise EvalError("equality needs a pair of naturals")
         return NatV(1 if v.left.n == v.right.n else 0)
-    if isinstance(t, Incl):
+    if k is Incl:
         return v
-    if isinstance(t, Restrict):
+    if k is Restrict:
         out = eval_structural(t.f, v)
         chk = eval_structural(t.ab.chi, out)
         if chk != NatV(1):
             raise EvalError("corestriction check failed")
         return out
-    if isinstance(t, ConstVal):
+    if k is ConstVal:
         return t.value
-    if isinstance(t, REFLECTED):
-        raise EvalError(f"{type(t).__name__} is reflected; run it on the machine")
-    raise EvalError(f"unknown constructor {type(t).__name__}")
+    if k in REFLECTED:
+        raise EvalError(f"{k.__name__} is reflected; run it on the machine")
+    raise EvalError(f"unknown constructor {k.__name__}")
 
 
 def value_check(obj: Obj, v: Value) -> bool:
@@ -560,6 +572,67 @@ _diag_then = Pair(Comp(Succ(), ProjR(NAT, NAT)), _zero_n_of_nn)
 _diag_else = Pair(Comp(pred, ProjL(NAT, NAT)), Comp(Succ(), ProjR(NAT, NAT)))
 _diag_step = Comp(cond(NN), Pair(Comp(eq0, ProjL(NAT, NAT)), Pair(_diag_then, _diag_else)))
 cantor_unpair = Comp(Iter(_diag_step), Pair(_zero_nn, Id(NAT)))
+
+
+### host arithmetic
+
+def nat_pair(x: int, y: int) -> int:
+    """The Cantor pairing N x N -> N on host integers: cantor_pair's value."""
+    s = x + y
+    return s * (s + 1) // 2 + y
+
+
+def nat_unpair(n: int) -> Tuple[int, int]:
+    """The inverse of nat_pair: cantor_unpair's value."""
+    w = (isqrt(8 * n + 1) - 1) // 2
+    y = n - w * (w + 1) // 2
+    return w - y, y
+
+
+# Host arithmetic for eval_structural, keyed by id(): each entry holds its
+# node, so no other live object can take that id.  An entry answers only on
+# its natural or pair of naturals with every component >= 0 and returns None
+# otherwise, so ill-shaped or negative inputs take the tree walk and keep its
+# results and EvalError texts.
+
+def _nat(v: Value) -> int:
+    """v's natural, or -1 when v is not a NatV with a natural in it."""
+    return v.n if type(v) is NatV and v.n >= 0 else -1
+
+
+def _on_n(f: Callable[[int], Value]) -> Callable[[Value], Optional[Value]]:
+    def host(v: Value) -> Optional[Value]:
+        n = _nat(v)
+        return f(n) if n >= 0 else None
+    return host
+
+
+def _on_nn(f: Callable[[int, int], Value]) -> Callable[[Value], Optional[Value]]:
+    def host(v: Value) -> Optional[Value]:
+        if type(v) is PairV:
+            x, y = _nat(v.left), _nat(v.right)
+            if x >= 0 and y >= 0:
+                return f(x, y)
+        return None
+    return host
+
+
+_HOST = {id(node): (node, fn) for node, fn in (
+    (pred, _on_n(lambda n: NatV(max(n - 1, 0)))),
+    (eq0, _on_n(lambda n: NatV(int(n == 0)))),
+    (lt2, _on_n(lambda n: NatV(int(n < 2)))),
+    (tri, _on_n(lambda n: NatV(n * (n - 1) // 2))),
+    (cantor_unpair, _on_n(lambda n: PairV(*map(NatV, nat_unpair(n))))),
+    (add, _on_nn(lambda m, k: NatV(m + k))),
+    (monus, _on_nn(lambda m, k: NatV(max(m - k, 0)))),
+    (mul, _on_nn(lambda m, k: NatV(m * k))),
+    (leq, _on_nn(lambda m, k: NatV(int(m <= k)))),
+    (eq, _on_nn(lambda m, k: NatV(int(m == k)))),
+    (cantor_pair, _on_nn(lambda x, y: NatV(nat_pair(x, y)))),
+)}
+
+
+### names
 
 STDLIB: Dict[str, Term] = {
     "pred": pred,

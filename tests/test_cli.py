@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,17 @@ class TestCorpus:
         assert out.endswith("ok=False\n")
 
 
+@pytest.fixture
+def digit_limit():
+    """Pin Python's limit on decimal conversion of ints at its default."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no decimal conversion limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
 class TestUsageErrors:
     def test_missing_term_flag(self):
         code, _, err = run_cli(["check"])
@@ -224,6 +236,24 @@ class TestUsageErrors:
         p.write_text("(comp succ " * 3000 + "succ" + ")" * 3000 + "\n")
         code, out, err = run_cli(["check", "--term", str(p)])
         assert (code, out, err) == (2, "", "error: term nests too deeply\n")
+
+    def test_numeral_past_the_digit_limit(self, digit_limit):
+        code, out, err = run_cli(["eval", "--term", term_path("succ.pr"),
+                                  "--arg", "9" * 5000])
+        assert (code, out, err) == (
+            2, "", "error: at offset 0: numeral has 5000 digits, "
+                   "past the limit of 4300\n")
+
+    def test_quote_past_the_digit_limit(self, tmp_path, digit_limit):
+        chain = "succ"
+        for _ in range(12):
+            chain = f"(pair {chain} succ)"
+        p = tmp_path / "chain.pr"
+        p.write_text(chain + "\n")
+        code, out, err = run_cli(["quote", "--term", str(p)])
+        assert (code, out, err) == (
+            2, "", "error: a 31725-bit number has more than 4300 "
+                   "decimal digits\n")
 
     def test_malformed_term_file(self, tmp_path):
         p = tmp_path / "bad.pr"

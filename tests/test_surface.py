@@ -109,7 +109,8 @@ class TestValues:
             assert parse_value(print_value(v)) == v
 
     def test_errors(self):
-        for src in ["", "(3,)", "(,4)", "(3 4)", "abc", "(3,4"]:
+        # "\u00b2" (superscript two) passes str.isdigit but is no numeral
+        for src in ["", "(3,)", "(,4)", "(3 4)", "abc", "(3,4", "\u00b2"]:
             with pytest.raises(ParseError) as exc:
                 parse_value(src)
             assert 0 <= exc.value.position <= len(src)

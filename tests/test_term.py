@@ -1,5 +1,6 @@
 """Typing, evaluation, and the derived-map library."""
 
+import copy
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from prcalc.term import (
     shape_fits, swap, tri, two_and, two_or, typecheck, value_check,
     value_shape, zero_value,
 )
+from prcalc import term
 
 N = NatV
 P = PairV
@@ -249,3 +251,63 @@ class TestEqSample:
     def test_typing_must_match(self):
         with pytest.raises(TypeMismatch):
             eq_sample(Succ(), add, 5)
+
+
+def outcome(t, v):
+    """The value of t at v, or the text of the EvalError it raises."""
+    try:
+        return ev(t, v)
+    except EvalError as e:
+        return f"EvalError: {e}"
+
+
+# arguments for the host-table differential: small grids, arguments past
+# 10^3 (the plain walk is quadratic in some of them), negative naturals and
+# values of the wrong shape
+HOST_ARGS = {
+    NAT: [N(n) for n in range(8)] + [
+        N(1001), N(1234), N(-1), N(-2), UNITV, nat2(1, 2), P(UNITV, N(1))],
+    NN: [nat2(m, k) for m in range(5) for k in range(5)] + [
+        nat2(1001, 2), nat2(2, 1001), nat2(1234, 1), nat2(-2, 3), nat2(3, -2),
+        nat2(-1, -1), nat2(0, -1), N(3), N(-3), UNITV, P(N(1), UNITV),
+        P(UNITV, N(2)), P(nat2(1, 2), N(3)), P(N(3), nat2(1, 2))],
+}
+
+
+HOST_NAMES = ["pred", "eq0", "lt2", "tri", "cantor_unpair", "add", "monus",
+              "mul", "leq", "eq", "cantor_pair"]
+
+
+class TestHostArithmetic:
+    def test_table_covers_the_named_stdlib_nodes(self):
+        assert ([node for node, _ in term._HOST.values()]
+                == [getattr(term, name) for name in HOST_NAMES])
+
+    @pytest.mark.parametrize("name", HOST_NAMES)
+    def test_entry_matches_the_plain_walk(self, name):
+        node = getattr(term, name)
+        plain = copy.deepcopy(node)  # a fresh id: the tree walk throughout
+        assert plain == node and id(plain) not in term._HOST
+        for v in HOST_ARGS[typecheck(node)[0]]:
+            assert outcome(node, v) == outcome(plain, v), v
+
+    def test_out_of_contract_results_fall_through(self):
+        # the tree walk's values; the host formulas would give -3, 5, 3, 1
+        # and a ValueError from isqrt
+        assert ev(mul, nat2(3, -1)) == N(0)
+        assert ev(monus, nat2(3, -2)) == N(3)
+        assert ev(tri, N(-2)) == N(0)
+        assert ev(eq, nat2(-1, -1)) == N(0)
+        assert ev(cantor_unpair, N(-1)) == nat2(0, 0)
+        with pytest.raises(EvalError, match="iteration needs"):
+            ev(pred, UNITV)
+
+    def test_host_path_takes_huge_arguments(self):
+        big = 10 ** 40
+        assert ev(pred, N(big)) == N(big - 1)
+        assert ev(mul, nat2(big, big)) == N(big * big)
+        assert ev(monus, nat2(big, 1)) == N(big - 1)
+        assert ev(cantor_unpair, ev(cantor_pair, nat2(big, 7))) == nat2(big, 7)
+        assert ev(leq, nat2(big, big + 1)) == N(1)
+        assert ev(tri, N(big)) == N(big * (big - 1) // 2)
+        assert ev(lt2, N(big)) == N(0)
