@@ -7,7 +7,9 @@ assembles an evaluation code that runs an encoded predicate on a number,
 then feeds it its own position in the predicate enumeration, negated.
 That antidiagonal predicate cannot consistently answer at its own index,
 so the run is driven under a fuel bound and the report records what the
-machine actually does with the regress.
+machine actually does with the regress.  The regress is a tower about
+fuel/15 reflected levels deep; the machine keeps it on its own job stack,
+so the probe runs on the calling thread at any fuel.
 
 A finished value would have to equal its own negation, which no value of
 Two does; the verdict ContradictionValue is therefore reserved for a
@@ -16,16 +18,12 @@ soundness bug and callers are expected to treat it as fatal.
 
 from __future__ import annotations
 
-import sys
-import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from .coding import num, pred_count_inverse
-from .machine import (
-    Done, Outcome, eval_iterative, outcome_kind,
-)
+from .machine import Done, Outcome, eval_iterative, outcome_kind
 from .ordinal import ord_brackets
 from .surface import print_term
 from .term import (
@@ -156,47 +154,9 @@ def run_liar(fuel: int = 10 ** 5) -> LiarReport:
         else:
             tail.append(entry)
 
-    outcome = _run_deep(d, NatV(q), fuel, record)
+    outcome = eval_iterative(d, NatV(q), fuel, on_record=record)
     digest = TraceDigest(seen, tuple(head), tuple(tail))
     return LiarReport(d, d_num, q, fuel, outcome, digest, _verdict_of(outcome))
-
-
-def _run_deep(u: Term, v: Value, fuel: int,
-              on_record: Optional[Callable] = None) -> Outcome:
-    """eval_iterative on a worker thread sized for deep reflected nesting.
-
-    Every reflected level keeps under ten host frames on the call stack
-    and burns at least twenty-odd fuel units before descending, so a frame
-    allowance of a third of the fuel covers the deepest possible regress.
-    """
-    limit = fuel // 3 + 20_000
-    box: List = []
-
-    def work() -> None:
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit)
-        try:
-            box.append(("ok", eval_iterative(u, v, fuel, on_record=on_record)))
-        except BaseException as e:  # surfaced in the calling thread
-            box.append(("err", e))
-        finally:
-            sys.setrecursionlimit(old)
-
-    old_size = threading.stack_size()
-    try:
-        threading.stack_size(512 * 1024 * 1024)
-    except (ValueError, RuntimeError):
-        threading.stack_size(64 * 1024 * 1024)
-    try:
-        worker = threading.Thread(target=work, name="liar-run")
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(old_size)
-    kind, payload = box[0]
-    if kind == "err":
-        raise payload
-    return payload
 
 
 def liar_report_lines(report: LiarReport) -> List[str]:

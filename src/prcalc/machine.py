@@ -16,7 +16,9 @@ dminus searches for the step count at which the reflected complexity hits
 zero, running this same machine on a shared fuel tank.
 
 Fuel counts machine steps, including every step taken inside reflected
-runs, so one budget bounds the total work of an evaluation.
+runs, so one budget bounds the total work of an evaluation.  Nested runs
+are jobs on one explicit stack (`_drive`), not host recursion, so the
+reflection depth is bounded by fuel alone.
 """
 
 from __future__ import annotations
@@ -387,15 +389,16 @@ _BASIC_T = frozenset((Id, Bang, ZeroC, Succ, ProjL, ProjR, TrueC, FalseC,
                       NotC, EqNat, Incl, ConstVal))
 
 
-def _fire(cfg: Config, tank: FuelTank) -> None:
-    """One transition; no-op on the empty stack (stationarity)."""
+def _fire(cfg: Config, tank: FuelTank):
+    """One transition; no-op on the empty stack (stationarity).  Returns
+    None, or a generator when the transition needs nested runs."""
     if not cfg.frames:
         return
     top = cfg.frames[-1]
     t = type(top)
     if t is Apply:
-        _apply(cfg, top.code, tank)
-    elif t is PairLeft:
+        return _apply(cfg, top.code, tank)
+    if t is PairLeft:
         cfg._pop()
         g_dom, g_cod = typecheck(top.g)
         cfg._push(PairRight(cfg.current, top.left_cod, g_cod))
@@ -421,7 +424,7 @@ def _fire(cfg: Config, tank: FuelTank) -> None:
         raise EvalError(f"unknown frame {top!r}")
 
 
-def _apply(cfg: Config, u: Term, tank: FuelTank) -> None:
+def _apply(cfg: Config, u: Term, tank: FuelTank):
     t = type(u)
     if t in _BASIC_T:
         cfg._pop()
@@ -460,19 +463,7 @@ def _apply(cfg: Config, u: Term, tank: FuelTank) -> None:
         cfg._push(Apply(u.f))
     elif t is DMinus:
         cfg._pop()
-        a = cfg.current
-        dom_p, _ = typecheck(u.p)
-        s, k = a, 0
-        while True:
-            r = _run_nested(u.c, s, tank)
-            if not isinstance(r, NatV):
-                raise EvalError("reflected measure returned a non-number")
-            if r.n == 0:
-                break
-            s = _run_nested(u.p, s, tank)
-            k += 1
-        cfg.current = PairV(a, NatV(k))
-        cfg.value_obj = Prod(dom_p, NAT)
+        return _dminus(cfg, u)
     elif t is CDot:
         nu, _ = _reflected_input(cfg.current)
         cfg._pop()
@@ -480,10 +471,7 @@ def _apply(cfg: Config, u: Term, tank: FuelTank) -> None:
         if cost is None:
             # the measure factors through the code: the value number is unused
             frames, _ = _unfold(from_num(nu))
-            total: Ord = ()
-            for fr in frames:
-                total = ord_nat_sum(total, frame_cost(fr))
-            cost = encode_ord(total)
+            cost = encode_ord(_trim(_raw_sum(frame_cost(fr) for fr in frames)))
             if len(_ccost_memo) > _MEMO_CAP:
                 _ccost_memo.clear()
             _ccost_memo[nu] = cost
@@ -493,33 +481,16 @@ def _apply(cfg: Config, u: Term, tank: FuelTank) -> None:
         nu, nv = _reflected_input(cfg.current)
         cfg._pop()
         hit = _estep_memo.get((nu, nv))
-        if hit is not None:
-            # replay the recorded step: same single spend at nested depth,
-            # so exhaustion surfaces exactly as it would on a fresh compute
-            tank.depth += 1
-            try:
-                tank.spend()
-            finally:
-                tank.depth -= 1
-            cfg.current = PairV(NatV(hit[0]), NatV(hit[1]))
-        else:
-            sub = _config_from_nums(nu, nv)
-            if sub.frames:
-                fuel_before = tank.remaining
-                tank.depth += 1
-                try:
-                    _checked_step(sub, tank, 0)
-                finally:
-                    tank.depth -= 1
-                out = _config_to_nums(sub)
-                # only cache steps that cost exactly one unit: anything that
-                # recursed into a nested run has fuel effects of its own
-                if tank.remaining == fuel_before - 1:
-                    if len(_estep_memo) > _MEMO_CAP:
-                        _estep_memo.clear()
-                    _estep_memo[(nu, nv)] = out
-                cfg.current = PairV(NatV(out[0]), NatV(out[1]))
-        # a halted configuration is a fixed point of the reflected step
+        if hit is None:
+            return _edot_miss(cfg, nu, nv, tank)
+        # replay the recorded step: same single spend at nested depth,
+        # so exhaustion surfaces exactly as it would on a fresh compute
+        tank.depth += 1
+        try:
+            tank.spend()
+        finally:
+            tank.depth -= 1
+        cfg.current = PairV(NatV(hit[0]), NatV(hit[1]))
         cfg.value_obj = NN
     elif t is HashC:
         cur = cfg.current
@@ -539,28 +510,71 @@ def _reflected_input(v: Value) -> Tuple[int, int]:
     raise EvalError("reflected operator expects a pair of numbers")
 
 
-def _run_nested(code: Term, value: Value, tank: FuelTank) -> Value:
-    dom, _ = typecheck(code)
-    sub = Config([Apply(code)], value, dom)
-    tank.depth += 1
-    try:
-        return _machine_run(sub, tank)
-    finally:
-        tank.depth -= 1
+# Transitions that need nested runs are generators yielding requests:
+# (_RUN, code, value) runs code on value to the empty stack, (_STEP, sub)
+# takes one checked step of sub; `_drive` sends back the run's value.
+_RUN, _STEP = "run", "step"
+
+
+def _dminus(cfg: Config, u: DMinus):
+    a = cfg.current
+    dom_p, _ = typecheck(u.p)
+    s, k = a, 0
+    while True:
+        r = yield _RUN, u.c, s
+        if not isinstance(r, NatV):
+            raise EvalError("reflected measure returned a non-number")
+        if r.n == 0:
+            break
+        s = yield _RUN, u.p, s
+        k += 1
+    cfg.current = PairV(a, NatV(k))
+    cfg.value_obj = Prod(dom_p, NAT)
+
+
+def _edot_miss(cfg: Config, nu: int, nv: int, tank: FuelTank):
+    sub = _config_from_nums(nu, nv)
+    if sub.frames:
+        fuel_before = tank.remaining
+        yield _STEP, sub
+        out = _config_to_nums(sub)
+        # only cache steps that cost exactly one unit: anything that
+        # recursed into a nested run has fuel effects of its own
+        if tank.remaining == fuel_before - 1:
+            if len(_estep_memo) > _MEMO_CAP:
+                _estep_memo.clear()
+            _estep_memo[(nu, nv)] = out
+        cfg.current = PairV(NatV(out[0]), NatV(out[1]))
+    # a halted configuration is a fixed point of the reflected step
+    cfg.value_obj = NN
 
 
 def step(cfg: Config, tank: Optional[FuelTank] = None) -> Config:
-    """Fire the top frame once; mutates and returns cfg.  Reflected
-    operators draw nested fuel from tank (a fresh default tank if none)."""
-    _fire(cfg, tank if tank is not None else FuelTank(DEFAULT_FUEL))
+    """Fire the top frame once, spending no fuel and checking no descent;
+    mutates and returns cfg.  Reflected operators run their nested jobs
+    on tank (a fresh default tank if none), checked as in any run."""
+    tank = tank if tank is not None else FuelTank(DEFAULT_FUEL)
+    gen = _fire(cfg, tank)
+    if gen is not None:
+        _drive(cfg, tank, gen=gen)
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # the run loop
 
-def _checked_step(cfg: Config, tank: FuelTank, idx: int) -> None:
-    """Spend one unit of fuel, fire, and check that the measure fell.
+def _drive(cfg: Config, tank: FuelTank, idx: int = 0, stop: int = -1,
+           gen=None, tail: Optional[deque] = None,
+           on_record: Optional[Callable[[int, Config], None]] = None,
+           ) -> Value:
+    """The one machine loop: steps cfg and every nested run on an explicit
+    stack of suspended jobs.  A job is a config stepped from index idx to
+    the empty stack (stop -1: a run, closed by the stationarity probe) or
+    up to index stop.  A transition that returns a generator suspends its
+    job; each request starts a job one reflected level deeper (tank.depth)
+    whose result resumes the generator, and the step then finishes with
+    its descent check.  Only the root job feeds on_record and tail (index,
+    raw running total).  A root given gen is a bare fire (`step`).
 
     Every transition pops exactly the top frame and pushes zero to two
     frames on top of the rest of the stack.  The natural sum is
@@ -570,45 +584,71 @@ def _checked_step(cfg: Config, tank: FuelTank, idx: int) -> None:
     check.  The full before/after measures are built only to report a
     violation.
     """
-    costs = cfg.costs
-    n = len(costs) - 1
-    popped = costs[n]
-    tank.spend()
-    _fire(cfg, tank)
-    pushed: Ord = ()
-    for c in costs[n:]:
-        pushed = ord_nat_sum(pushed, c)
-    if ord_cmp(pushed, popped) != LESS:
-        before = _trim(_raw_sum(costs[:n] + [popped]))
-        raise _DescentErr(idx, before, _trim(_raw_sum(costs)))
-
-
-def _machine_run(cfg: Config, tank: FuelTank,
-                 tail: Optional[deque] = None,
-                 on_record: Optional[Callable[[int, Config], None]] = None,
-                 ) -> Value:
-    """Step cfg to the empty stack.  When tail is given, each step appends
-    (index, raw running total); `_tail_entries` trims them."""
-    idx = 0
-    if tail is not None:
+    jobs: list = []  # suspended (cfg, idx, stop, gen, n, popped, rec, tl)
+    depth0, rec, tl = tank.depth, on_record, tail
+    if tl is not None:
         cfg.ord()  # builds the running total the tail snapshots
-    while cfg.frames:
-        if on_record is not None:
-            on_record(idx, cfg)
-        _checked_step(cfg, tank, idx)
-        if tail is not None:
-            tail.append((idx, tuple(cfg._acc)))
-        idx += 1
-    # stationarity probe: stepping the empty stack must change nothing
-    cur, vo = cfg.current, cfg.value_obj
-    _fire(cfg, tank)
-    if cfg.frames or cfg.current is not cur or cfg.value_obj is not vo:
-        raise _StatErr(idx)
-    return cfg.current
+    sent = n = popped = None
+    try:
+        while True:
+            if gen is not None:
+                try:
+                    req = gen.send(sent)
+                except StopIteration:
+                    gen = None
+                    if popped is None:
+                        return cfg.current
+                else:
+                    jobs.append((cfg, idx, stop, gen, n, popped, rec, tl))
+                    tank.depth += 1
+                    idx, gen, rec, tl = 0, None, None, None
+                    if req[0] is _STEP:
+                        cfg, stop = req[1], 1
+                    else:
+                        dom, _ = typecheck(req[1])
+                        cfg, stop = Config([Apply(req[1])], req[2], dom), -1
+                    continue
+            elif cfg.frames and idx != stop:
+                if rec is not None:
+                    rec(idx, cfg)
+                n = len(cfg.costs) - 1
+                popped = cfg.costs[n]
+                tank.spend()
+                gen = _fire(cfg, tank)
+                if gen is not None:
+                    sent = None
+                    continue
+            else:
+                if stop < 0:
+                    # stationarity probe: stepping the empty stack is a no-op
+                    cur, vo = cfg.current, cfg.value_obj
+                    _fire(cfg, tank)
+                    if (cfg.frames or cfg.current is not cur
+                            or cfg.value_obj is not vo):
+                        raise _StatErr(idx)
+                if not jobs:
+                    return cfg.current
+                sent = cfg.current
+                cfg, idx, stop, gen, n, popped, rec, tl = jobs.pop()
+                tank.depth -= 1
+                continue
+            costs = cfg.costs
+            pushed: Ord = ()
+            for c in costs[n:]:
+                pushed = ord_nat_sum(pushed, c)
+            if ord_cmp(pushed, popped) != LESS:
+                before = _trim(_raw_sum(costs[:n] + [popped]))
+                raise _DescentErr(idx, before, _trim(_raw_sum(costs)))
+            if tl is not None:
+                tl.append((idx, tuple(cfg._acc)))
+            idx += 1
+    finally:
+        tank.depth = depth0
 
 
-def _tail_entries(tail: deque) -> Tuple[Tuple[int, Ord], ...]:
-    return tuple((i, _trim(acc)) for i, acc in tail)
+def _checked_step(cfg: Config, tank: FuelTank, idx: int) -> None:
+    """Spend one unit of fuel, fire, and check that the measure fell."""
+    _drive(cfg, tank, idx, idx + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -665,11 +705,10 @@ def eval_iterative(u: Term, v: Value, fuel: int = DEFAULT_FUEL,
     tank = FuelTank(fuel)
     tail: deque = deque(maxlen=10)
     try:
-        result = _machine_run(cfg, tank, tail=tail, on_record=on_record)
+        result = _drive(cfg, tank, tail=tail, on_record=on_record)
     except _OutOfFuel as e:
-        if e.nested:
-            return NestedFuelExhausted(_tail_entries(tail))
-        return FuelExhausted(_tail_entries(tail))
+        kind = NestedFuelExhausted if e.nested else FuelExhausted
+        return kind(tuple((i, _trim(acc)) for i, acc in tail))
     except _DescentErr as e:
         return DescentViolation(e.step, e.before, e.after)
     except _StatErr as e:

@@ -102,6 +102,38 @@ class TestRun:
         assert dest.read_text() == out
 
 
+@pytest.fixture
+def antidiagonal_files(tmp_path):
+    """The antidiagonal as a one-line term file, and its own index."""
+    from prcalc.diagonal import antidiagonal_index, build_antidiagonal
+    from prcalc.surface import print_term
+    p = tmp_path / "antidiagonal.pr"
+    p.write_text(print_term(build_antidiagonal()) + "\n")
+    return str(p), str(antidiagonal_index())
+
+
+class TestDeepReflection:
+    # at its own index the antidiagonal regresses about fuel/15 reflected
+    # levels deep; the term is one line, so no exit 2 for deep input
+    def test_eval_iterative_reports_nested_exhaustion(self,
+                                                      antidiagonal_files):
+        term, arg = antidiagonal_files
+        code, out, err = run_cli(["eval", "--mode", "iterative", "--fuel",
+                                  "20000", "--term", term, "--arg", arg])
+        assert (code, out, err) == (1, "nested fuel exhausted at step 9\n",
+                                    "")
+
+    def test_run_reports_nested_exhaustion(self, antidiagonal_files):
+        term, arg = antidiagonal_files
+        code, out, err = run_cli(["run", "--fuel", "20000", "--term", term,
+                                  "--arg", arg])
+        lines = out.splitlines()
+        assert (code, err) == (1, "")
+        assert lines[-2:] == ["outcome=NestedFuelExhausted", "step=9"]
+        assert [ln.split()[0] for ln in lines[:-2]] == \
+            [f"step={i}" for i in range(10)]
+
+
 class TestCCI:
     def test_gcd_instance(self):
         start = print_value(gcd_state(12, 18))

@@ -1,5 +1,9 @@
 """Coded self-evaluation: the evaluator code, the antidiagonal, the liar."""
 
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from prcalc.coding import hashc_num, num, pred_count_hash
@@ -14,6 +18,8 @@ from prcalc.term import (
     Bang, Comp, EvalError, FalseC, Id, NAT, NN, NatV, NotC, Pair, Prod,
     TWO, TrueC, eq0, eval_structural, leq, lt2, monus, pred, typecheck,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 EXHAUSTED = {"FuelExhausted", "NestedFuelExhausted", "DescentViolation"}
 
@@ -102,6 +108,19 @@ class TestLiarRun:
         eval_iterative(d, NatV(q), 400, on_record=lambda i, c: ords.append(c.ord()))
         assert ords
         assert descent_check(ords) is None
+
+    def test_runs_on_the_calling_thread(self, monkeypatch):
+        # nested reflected runs live on the machine's own job stack: no
+        # worker thread, no change to the recursion limit
+        def no_thread(*args, **kwargs):
+            raise AssertionError("run_liar started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        limit = sys.getrecursionlimit()
+        report = run_liar(100000)
+        assert sys.getrecursionlimit() == limit
+        golden = (DATA / "liar_fuel_100000.txt").read_text()
+        assert "\n".join(liar_report_lines(report)) + "\n" == golden
 
     def test_report_lines_shape(self):
         report = run_liar(300)

@@ -104,6 +104,31 @@ class TestStep:
         assert cfg.frames == [IterPending(Succ(), 2)]
         assert cfg.current == N(3)
 
+    def test_dminus_runs_its_nested_jobs(self):
+        tank = FuelTank(1000)
+        cfg = step(Config([Apply(DMinus(Id(NAT), pred))], N(3), NAT), tank)
+        assert cfg.halted() and cfg.current == nat2(3, 3)
+        assert cfg.value_obj == NN
+        # the nested runs spend fuel; the fired step itself spends none
+        assert (tank.remaining, tank.depth) == (912, 0)
+
+    def test_edot_miss_steps_the_decoded_config(self, monkeypatch):
+        # (code, arg, fuel left, decoded result, memo entries): a unit-cost
+        # reflected step is memoised, one that ran nested jobs is not
+        cases = [(Succ(), 4, 999, N(5), 1),
+                 (DMinus(Id(NAT), pred), 3, 911, nat2(3, 3), 0)]
+        for t, a, left, result, memoised in cases:
+            monkeypatch.setattr(machine, "_estep_memo", {})
+            tank = FuelTank(1000)
+            cfg = Config([Apply(EDot())], P(N(num(quote(t))), N(a)), NN)
+            step(cfg, tank)
+            assert cfg.halted() and cfg.value_obj == NN
+            assert (tank.remaining, tank.depth) == (left, 0)
+            sub = machine._config_from_nums(cfg.current.left.n,
+                                            cfg.current.right.n)
+            assert sub.halted() and sub.current == result
+            assert len(machine._estep_memo) == memoised
+
     def test_empty_stack_is_fixed_point(self):
         cfg = Config([], N(9), NAT)
         before = cfg.current
