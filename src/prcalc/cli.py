@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from .coding import IllTyped, NotAPredicateCode, num
 from .diagonal import liar_report_lines, run_liar
-from .gen import find_member, random_value
+from .gen import random_value
 from .machine import (
     Apply, DescentViolation, Done, EvalFailure, FuelExhausted,
     NestedFuelExhausted, Outcome, StatViolation, eval_iterative, frame_cost,
@@ -38,7 +38,9 @@ from .partial import Done as ParDone
 from .partial import FuelExhausted as ParFuel
 from .surface import NumeralTooLong, ParseError, parse_term, parse_value, \
     print_nat, print_obj, print_term, print_value
-from .term import Comp, EvalError, TypeMismatch, eval_structural, typecheck
+from .term import (
+    Comp, EvalError, TypeMismatch, eval_structural, find_point, typecheck,
+)
 
 DEFAULT_FUEL = 10 ** 6
 DEFAULT_LAW_SAMPLES = 200
@@ -234,7 +236,7 @@ def _cmd_choice(a) -> int:
     dom, _ = typecheck(f)
     if a.arg is not None:
         # the search-based inverse, evaluated at one point
-        base = find_member(dom)
+        base = find_point(dom, 512)
         if base is None:
             raise _Usage("could not find a fallback point in the domain")
         g = middle_inverse_total(f, base, a.fuel)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from .coding import _leaves, cont_raw
+from .coding import _leaves
 from .term import (
     Abstr, Bang, Comp, Cyl, EvalError, Id, Incl, Iter, NAT, NN, Nat, NatV,
     Obj, Pair, PairV, Prod, ProjL, ProjR, Restrict, Succ, Term, TrueC, UNIT,
-    UNITV, Unit, Value, ZeroC, eq0, leq, value_check,
+    UNITV, Unit, Value, ZeroC, eq0, find_point, leq, value_check,
 )
 
 
@@ -37,15 +37,6 @@ def value_const(obj: Obj, v: Value, dom: Obj) -> Term:
         return Pair(value_const(obj.left, v.left, dom),
                     value_const(obj.right, v.right, dom))
     return Restrict(value_const(obj.carrier, v, dom), obj)
-
-
-def find_member(obj: Obj, fuel: int = 512) -> Optional[Value]:
-    """Scan the canonical count of the carrier for a member of obj."""
-    for n in range(fuel):
-        v = cont_raw(obj, n)
-        if value_check(obj, v):
-            return v
-    return None
 
 
 def _nat_path(obj: Obj) -> Optional[Term]:
@@ -102,7 +93,7 @@ def canonical_code(a: Obj, b: Obj) -> Term:
         return nat_const(0, a)
     if isinstance(b, Prod):
         return Pair(canonical_code(a, b.left), canonical_code(a, b.right))
-    member = find_member(b)
+    member = find_point(b, 512)
     if member is None:
         raise EvalError("uninhabited abstraction has no canonical map into it")
     return value_const(b, member, a)
@@ -135,7 +126,7 @@ def random_term(rng: random.Random, a: Obj, b: Obj, depth: int) -> Term:
     if pick == "iter":
         return Iter(random_term(rng, b, b, depth - 1))
     if pick == "restrict":
-        member = find_member(b)
+        member = find_point(b, 512)
         if member is None:
             return canonical_code(a, b)
         return Restrict(value_const(b.carrier, member, a), b)
@@ -157,7 +148,7 @@ def random_value(rng: random.Random, obj: Obj, cap: int = 12) -> Value:
         v = random_value(rng, obj.carrier, cap)
         if value_check(obj, v):
             return v
-    member = find_member(obj)
+    member = find_point(obj, 512)
     if member is None:
         raise EvalError("could not sample a member of the abstraction")
     return member

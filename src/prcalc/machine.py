@@ -484,7 +484,10 @@ def _apply(cfg: Config, u: Term, tank: FuelTank):
         if hit is None:
             return _edot_miss(cfg, nu, nv, tank)
         # replay the recorded step: same single spend at nested depth,
-        # so exhaustion surfaces exactly as it would on a fresh compute
+        # so exhaustion surfaces exactly as it would on a fresh compute.
+        # The step's descent was checked when it was first computed and
+        # is not checked again; only a mispriced frame_cost, which fails
+        # that check, could tell a hit from a miss.
         tank.depth += 1
         try:
             tank.spend()

@@ -49,6 +49,9 @@ from .term import (
     Unit,
     Value,
     ZeroC,
+    _eqn,
+    _ite,
+    _zero_on,
     add,
     cantor_pair,
     cantor_unpair,
@@ -57,6 +60,7 @@ from .term import (
     has_abstr,
     leq,
     monus,
+    mod_cycle,
     mul,
     obj_check,
     one_n,
@@ -151,44 +155,15 @@ class UnsupportedConstructor(Exception):
 # ---------------------------------------------------------------------------
 # small term builders
 
-def _zero_on(dom: Obj) -> Term:
-    return Comp(ZeroC(NAT), Bang(dom))
-
-
-def _ite(obj: Obj, flag: Term, when_true: Term, when_false: Term) -> Term:
-    """Branch on a Two-valued flag by iterating a swap zero or one times.
-
-    All three pieces share a domain D; the result D -> obj picks when_true
-    where the flag is 1.  Both branches are evaluated either way (the
-    calculus is total), so they must be cheap and safe on all of D.
-    """
-    sw = Pair(ProjR(obj, obj), ProjL(obj, obj))
-    seed = Pair(when_false, when_true)
-    picked = Comp(Iter(sw), Pair(seed, Comp(Incl(TWO), flag)))
-    return Comp(ProjL(obj, obj), picked)
-
-
-def _eqn(x: Term, y: Term) -> Term:
-    return Comp(EqNat(), Pair(x, y))
-
-
 def _both(x: Term, y: Term) -> Term:
     return Comp(two_and, Pair(x, y))
 
 
 def _mod_term(a: Term, b: Term, dom: Obj) -> Term:
-    """a mod b in a single pass of a iterations.
-
-    The running state (r, b) cycles r through 0..b-1; the wrap test
-    compares r+1 with b, so every iteration costs a constant.  At b = 0
-    the test never fires and the result is a itself.
-    """
-    r = ProjL(NAT, NAT)
-    keep = ProjR(NAT, NAT)
-    wrap = _eqn(Comp(Succ(), r), keep)
-    step = Pair(_ite(NAT, wrap, _zero_on(NN), Comp(Succ(), r)), keep)
+    """a mod b in a single pass of a iterations of term.mod_cycle from
+    (0, b).  At b = 0 the cycle never wraps and the result is a itself."""
     seed = Pair(Pair(_zero_on(dom), b), a)
-    return Comp(ProjL(NAT, NAT), Comp(Iter(step), seed))
+    return Comp(ProjL(NAT, NAT), Comp(mod_cycle, seed))
 
 
 # ---------------------------------------------------------------------------

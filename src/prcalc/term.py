@@ -240,15 +240,6 @@ def shape_fits(obj: Obj, v: Value) -> bool:
     return shape_fits(obj.carrier, v)
 
 
-def carrier_shape(obj: Obj) -> Obj:
-    """Strip abstraction layers down to the fundamental skeleton."""
-    if isinstance(obj, Prod):
-        return Prod(carrier_shape(obj.left), carrier_shape(obj.right))
-    if isinstance(obj, Abstr):
-        return carrier_shape(obj.carrier)
-    return obj
-
-
 def has_abstr(obj: Obj) -> bool:
     if isinstance(obj, Abstr):
         return True
@@ -574,6 +565,35 @@ _diag_step = Comp(cond(NN), Pair(Comp(eq0, ProjL(NAT, NAT)), Pair(_diag_then, _d
 cantor_unpair = Comp(Iter(_diag_step), Pair(_zero_nn, Id(NAT)))
 
 
+def _zero_on(dom: Obj) -> Term:
+    return Comp(ZeroC(NAT), Bang(dom))
+
+
+def _eqn(x: Term, y: Term) -> Term:
+    return Comp(EqNat(), Pair(x, y))
+
+
+def _ite(obj: Obj, flag: Term, when_true: Term, when_false: Term) -> Term:
+    """Branch on a Two-valued flag by iterating a swap zero or one times.
+
+    All three pieces share a domain D; the result D -> obj picks when_true
+    where the flag is 1.  Both branches are evaluated either way (the
+    calculus is total), so they must be cheap and safe on all of D.
+    """
+    sw = Pair(ProjR(obj, obj), ProjL(obj, obj))
+    seed = Pair(when_false, when_true)
+    picked = Comp(Iter(sw), Pair(seed, Comp(Incl(TWO), flag)))
+    return Comp(ProjL(obj, obj), picked)
+
+
+# mod_cycle((r, k), a) moves r a places round the cycle 0..k-1: the step
+# (r, k) |-> (r+1 == k ? 0 : r+1, k) costs a constant, and from r >= k
+# (k = 0 included) the wrap test never fires, so r just counts up.
+_r, _k = ProjL(NAT, NAT), ProjR(NAT, NAT)
+_wrap = _eqn(Comp(Succ(), _r), _k)
+mod_cycle = Iter(Pair(_ite(NAT, _wrap, _zero_on(NN), Comp(Succ(), _r)), _k))
+
+
 ### host arithmetic
 
 def nat_pair(x: int, y: int) -> int:
@@ -591,9 +611,9 @@ def nat_unpair(n: int) -> Tuple[int, int]:
 
 # Host arithmetic for eval_structural, keyed by id(): each entry holds its
 # node, so no other live object can take that id.  An entry answers only on
-# its natural or pair of naturals with every component >= 0 and returns None
-# otherwise, so ill-shaped or negative inputs take the tree walk and keep its
-# results and EvalError texts.
+# its natural, pair of naturals, or (for mod_cycle) ((r, k), a) with every
+# component >= 0 and returns None otherwise, so ill-shaped or negative inputs
+# take the tree walk and keep its results and EvalError texts.
 
 def _nat(v: Value) -> int:
     """v's natural, or -1 when v is not a NatV with a natural in it."""
@@ -617,6 +637,15 @@ def _on_nn(f: Callable[[int, int], Value]) -> Callable[[Value], Optional[Value]]
     return host
 
 
+def _mod_cycle_host(v: Value) -> Optional[Value]:
+    # ((r, k), a) |-> ((r + a) mod k, k) when r < k, else (r + a, k)
+    if type(v) is PairV and type(v.left) is PairV:
+        r, k, a = _nat(v.left.left), _nat(v.left.right), _nat(v.right)
+        if r >= 0 and k >= 0 and a >= 0:
+            return PairV(NatV((r + a) % k if r < k else r + a), NatV(k))
+    return None
+
+
 _HOST = {id(node): (node, fn) for node, fn in (
     (pred, _on_n(lambda n: NatV(max(n - 1, 0)))),
     (eq0, _on_n(lambda n: NatV(int(n == 0)))),
@@ -629,6 +658,7 @@ _HOST = {id(node): (node, fn) for node, fn in (
     (leq, _on_nn(lambda m, k: NatV(int(m <= k)))),
     (eq, _on_nn(lambda m, k: NatV(int(m == k)))),
     (cantor_pair, _on_nn(lambda x, y: NatV(nat_pair(x, y)))),
+    (mod_cycle, _mod_cycle_host),
 )}
 
 
@@ -647,12 +677,13 @@ STDLIB: Dict[str, Term] = {
 
 
 def find_point(obj: Obj, fuel: int = 1000) -> Optional[Value]:
-    """Search the canonical count of the carrier for a member of obj."""
+    """Search the first `fuel` values of the carrier's canonical count for a
+    member of obj.  Without abstractions that is index 0, the zero value."""
     from .coding import cont_raw
     if not has_abstr(obj):
         return zero_value(obj)
     for n in range(fuel):
-        v = cont_raw(carrier_shape(obj), n)
+        v = cont_raw(obj, n)
         if value_check(obj, v):
             return v
     return None

@@ -7,6 +7,7 @@ scale, while-loop instances against host arithmetic, and the recorded
 self-referential probe.
 """
 
+import copy
 import io
 import math
 import random
@@ -45,6 +46,7 @@ from prcalc.partial import (
     gcd_cci,
     gcd_partial,
     gcd_state,
+    load_cci,
     make_partial,
     middle_inverse_partial,
     mu_search,
@@ -307,6 +309,31 @@ class TestIterationInstances:
             final, steps = _brute_force_index(inst, gcd_state(a, b))
             assert got.index == steps, (a, b)
             assert got.value == final, (a, b)
+
+    def test_gcd_plain_walk_matches_the_shared_mod_cycle(self):
+        # the oracle test above takes the mod cycle's host row on both
+        # sides; a deep copy has fresh ids and takes the plain walk
+        inst = gcd_cci()
+        plain = copy.deepcopy(inst)
+        for a, b in [(12, 18), (299, 221), (144, 89), (0, 255), (256, 0),
+                     (7, 7), (210, 294)]:
+            got = cci_run(inst, gcd_state(a, b), FUEL)
+            assert got == cci_run(plain, gcd_state(a, b), FUEL), (a, b)
+            assert got.value.left.n == math.gcd(a, b), (a, b)
+
+    def test_gcd_partial_plain_walk_matches_the_shared_mod_cycle(self):
+        # the plain walk of the search is about cubic in a + b: small pairs
+        f = gcd_partial()
+        plain = copy.deepcopy(f)
+        for a, b, fuel in [(12, 18, 100), (35, 14, 100), (0, 7, 100),
+                           (17, 0, 100), (21, 13, 100), (35, 14, 20)]:
+            arg = PairV(N(a), N(b))
+            got = par_apply(f, arg, fuel)
+            assert got == par_apply(plain, arg, fuel), (a, b, fuel)
+        assert got == ParFuel(20)
+
+    def test_gcd_instance_file_is_the_built_tree(self):
+        assert load_cci((CORPUS / "gcd.cci").read_text()) == gcd_cci()
 
     def test_zero_complexity_is_stationary(self):
         inst = CCIInstance(NAT, zero_n, Id(NAT))

@@ -2,22 +2,28 @@
 
 import copy
 import random
+from pathlib import Path
 
 import pytest
 
+from prcalc.coding import cont_raw
+from prcalc.gen import random_obj, random_term
+from prcalc.surface import parse_term
 from prcalc.term import (
     Abstr, Bang, CDot, Comp, ConstVal, Cyl, DMinus, EDot, EqNat, EvalError,
     FalseC, HashC, Id, Incl, Iter, NAT, NN, NatV, NotC, Pair, PairV, Prod,
     ProjL, ProjR, Restrict, STDLIB, Succ, TWO, TrueC, TypeMismatch, UNIT,
     UNITV, UnitV, ZeroC, add, cantor_pair, cantor_unpair, cond, depth, eq,
-    eq0, eq_sample, eval_structural, leq, lt2, monus, mul, obj_check, pred,
-    shape_fits, swap, tri, two_and, two_or, typecheck, value_check,
-    value_shape, zero_value,
+    eq0, eq_sample, eval_structural, find_point, has_abstr, leq, lt2,
+    mod_cycle, monus, mul, obj_check, pred, shape_fits, swap, tri, two_and, two_or, typecheck,
+    value_check, value_shape, zero_value,
 )
 from prcalc import term
 
 N = NatV
 P = PairV
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def ev(t, v):
@@ -253,6 +259,35 @@ class TestEqSample:
             eq_sample(Succ(), add, 5)
 
 
+def scan_every_index(obj, fuel):
+    """Reference for find_point: every index of the count is checked, with
+    no shortcut for objects without abstractions."""
+    for n in range(fuel):
+        v = cont_raw(obj, n)
+        if value_check(obj, v):
+            return v
+    return None
+
+
+class TestFindPoint:
+    def test_matches_the_full_scan(self):
+        objs = []
+        for path in sorted(CORPUS.glob("*.pr")):
+            objs.extend(typecheck(parse_term(path.read_text())))
+        rng = random.Random("find-point")
+        for _ in range(60):
+            a, b = random_obj(rng, 4), random_obj(rng, 4)
+            objs.extend(typecheck(random_term(rng, a, b, 3)))
+        positive = Abstr(NAT, Comp(NotC(), eq0))
+        empty = Abstr(NAT, Comp(FalseC(), Bang(NAT)))
+        objs += [positive, Prod(NN, positive), empty, Prod(empty, NAT)]
+        assert sum(map(has_abstr, objs)) >= 10
+        for obj in objs:
+            assert find_point(obj, 512) == scan_every_index(obj, 512), obj
+        assert find_point(Prod(NN, positive), 512) == P(nat2(0, 0), N(1))
+        assert find_point(empty, 512) is None
+
+
 def outcome(t, v):
     """The value of t at v, or the text of the EvalError it raises."""
     try:
@@ -271,11 +306,20 @@ HOST_ARGS = {
         nat2(1001, 2), nat2(2, 1001), nat2(1234, 1), nat2(-2, 3), nat2(3, -2),
         nat2(-1, -1), nat2(0, -1), N(3), N(-3), UNITV, P(N(1), UNITV),
         P(UNITV, N(2)), P(nat2(1, 2), N(3)), P(N(3), nat2(1, 2))],
+    # ((r, k), a) for mod_cycle: r >= k, k = 0 and a = 0 all in the grid
+    Prod(NN, NAT): [P(nat2(r, k), N(a)) for r in range(6) for k in range(6)
+                    for a in (0, 1, 2, 5, 13)] + [
+        P(nat2(0, 7), N(1001)), P(nat2(3, 1000), N(1234)),
+        P(nat2(9, 4), N(1001)), P(nat2(2, 0), N(1234)),
+        P(nat2(-1, 3), N(4)), P(nat2(1, -3), N(4)), P(nat2(1, 3), N(-4)),
+        P(nat2(-2, -2), N(-2)), N(3), UNITV, nat2(1, 2), P(nat2(1, 2), UNITV),
+        P(P(N(1), UNITV), N(2)), P(P(UNITV, N(1)), N(2)),
+        P(P(nat2(1, 2), N(3)), N(2)), P(nat2(1, 2), nat2(1, 2))],
 }
 
 
 HOST_NAMES = ["pred", "eq0", "lt2", "tri", "cantor_unpair", "add", "monus",
-              "mul", "leq", "eq", "cantor_pair"]
+              "mul", "leq", "eq", "cantor_pair", "mod_cycle"]
 
 
 class TestHostArithmetic:
@@ -311,3 +355,6 @@ class TestHostArithmetic:
         assert ev(leq, nat2(big, big + 1)) == N(1)
         assert ev(tri, N(big)) == N(big * (big - 1) // 2)
         assert ev(lt2, N(big)) == N(0)
+        assert ev(mod_cycle, P(nat2(3, 7), N(big))) == nat2((3 + big) % 7, 7)
+        assert ev(mod_cycle, P(nat2(9, 7), N(big))) == nat2(9 + big, 7)
+        assert ev(mod_cycle, P(nat2(0, 0), N(big))) == nat2(big, 0)
