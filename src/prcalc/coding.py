@@ -19,14 +19,14 @@ rank order; num is strictly monotone along it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .term import (
     Abstr, Bang, CDot, Comp, ConstVal, Cyl, DMinus, EDot, EqNat, EvalError,
     FalseC, HashC, Id, Incl, Iter, NAT, NN, NotC, Obj, Pair, PairV, Prod,
     ProjL, ProjR, Restrict, Succ, TWO, Term, TrueC, TypeMismatch, UNIT,
     UNITV, Unit, Nat, NatV, UnitV, Value, ZeroC, eval_structural, lt2,
-    typecheck, value_check, zero_value,
+    node_fact, typecheck, value_check, zero_value,
 )
 # one integer Cantor pairing, shared with the structural evaluator's host
 # arithmetic for the cantor_pair and cantor_unpair terms
@@ -122,6 +122,7 @@ def decode(c: Code) -> Term:
     return c
 
 
+@node_fact("_cv")
 def contains_constval(c: Code) -> bool:
     if isinstance(c, ConstVal):
         return True
@@ -269,23 +270,20 @@ def _families(a: Obj, b: Obj, full: bool) -> List[int]:
     return fams
 
 
-_unrank_memo: Dict[Tuple[bool, Obj, Obj, int], Code] = {}
-# rank memo is id-keyed: structural keys would deep-hash every subtree on
-# each lookup, which is quadratic on the large trees the reflected
-# evaluator decodes; the stored entry pins the code so its id stays valid
-_rank_memo: Dict[Tuple[bool, int], Tuple[Code, Obj, Obj, int]] = {}
-_MEMO_CAP = 200_000
+MEMO_CAP = 200_000
+
+
+def memo_store(table: dict, key, value) -> None:
+    """The one cap of the number-keyed memo tables (facts of a node live on
+    the node): a table past MEMO_CAP entries is emptied before the store."""
+    if len(table) > MEMO_CAP:
+        table.clear()
+    table[key] = value
 
 
 def unrank_code(a: Obj, b: Obj, n: int, full: bool = False) -> Code:
     """The n-th code of typing (a, b): leaves first, then the families
     interleaved round-robin.  Total and bijective for every typing."""
-    key = (full, a, b, n)
-    hit = _unrank_memo.get(key)
-    if hit is not None:
-        return hit
-    if len(_unrank_memo) > _MEMO_CAP:
-        _unrank_memo.clear()
     leaves = _leaves(a, b, full)
     if n < len(leaves):
         c = leaves[n]
@@ -313,23 +311,19 @@ def unrank_code(a: Obj, b: Obj, n: int, full: bool = False) -> Code:
             c = DMinus(unrank_code(a, NAT, ci, full), unrank_code(a, a, pi, full))
         else:
             c = ConstVal(b, _val_unrank(b, i))
-    _unrank_memo[key] = c
     return c
 
 
 def rank_code(a: Obj, b: Obj, c: Code, full: bool = False) -> int:
-    """Inverse of unrank_code at the code's principal typing."""
-    key = (full, id(c))
-    hit = _rank_memo.get(key)
-    if hit is not None and hit[0] is c and hit[1] == a and hit[2] == b:
-        return hit[3]
+    """Inverse of unrank_code at the code's principal typing.  The surface
+    rank (full False) is kept on the code as (a, b, rank)."""
+    hit = None if full else getattr(c, "_rank", None)
+    if hit is not None and hit[0] is a and hit[1] is b:
+        return hit[2]
     leaves = _leaves(a, b, full)
-    n: Optional[int] = None
-    for idx, leaf in enumerate(leaves):
-        if leaf == c:
-            n = idx
-            break
-    if n is None:
+    if c in leaves:
+        n = leaves.index(c)
+    else:
         fams = _families(a, b, full)
         if isinstance(c, Comp):
             mid = typecheck(c.f)[1]
@@ -355,46 +349,27 @@ def rank_code(a: Obj, b: Obj, c: Code, full: bool = False) -> int:
         if fam not in fams:
             raise IllTyped(f"{type(c).__name__} not available at this typing")
         n = len(leaves) + i * len(fams) + fams.index(fam)
-    if len(_rank_memo) > _MEMO_CAP:
-        _rank_memo.clear()
-    _rank_memo[key] = (c, a, b, n)
+    if not full:
+        c._rank = (a, b, n)
     return n
 
 
 ### object ranking (Two is interned at rank 2)
 
-_obj_rank_memo: Dict[Obj, int] = {}
-_obj_unrank_memo: Dict[int, Obj] = {}
-_two_slot_cache: Optional[int] = None
-
-
-def _two_slot() -> int:
-    global _two_slot_cache
-    if _two_slot_cache is None:
-        _two_slot_cache = cantor_pair(obj_rank(NAT), rank_code(NAT, TWO, lt2))
-    return _two_slot_cache
-
-
+@node_fact("_rank")
 def obj_rank(obj: Obj) -> int:
     if isinstance(obj, Unit):
         return 0
     if isinstance(obj, Nat):
         return 1
-    if obj == TWO:
+    if obj is TWO:
         return 2
-    hit = _obj_rank_memo.get(obj)
-    if hit is not None:
-        return hit
     if isinstance(obj, Prod):
-        n = 3 + 2 * cantor_pair(obj_rank(obj.left), obj_rank(obj.right))
-    else:
-        k = cantor_pair(obj_rank(obj.carrier),
-                        rank_code(obj.carrier, TWO, obj.chi))
-        if k > _two_slot():
-            k -= 1
-        n = 4 + 2 * k
-    _obj_rank_memo[obj] = n
-    return n
+        return 3 + 2 * cantor_pair(obj_rank(obj.left), obj_rank(obj.right))
+    k = cantor_pair(obj_rank(obj.carrier), rank_code(obj.carrier, TWO, obj.chi))
+    if k > _TWO_SLOT:
+        k -= 1
+    return 4 + 2 * k
 
 
 def obj_unrank(n: int) -> Obj:
@@ -404,21 +379,19 @@ def obj_unrank(n: int) -> Obj:
         return NAT
     if n == 2:
         return TWO
-    hit = _obj_unrank_memo.get(n)
-    if hit is not None:
-        return hit
     if (n - 3) % 2 == 0:
         l, r = cantor_unpair((n - 3) // 2)
-        obj: Obj = Prod(obj_unrank(l), obj_unrank(r))
-    else:
-        k = (n - 4) // 2
-        if k >= _two_slot():
-            k += 1
-        cr, chir = cantor_unpair(k)
-        carrier = obj_unrank(cr)
-        obj = Abstr(carrier, unrank_code(carrier, TWO, chir))
-    _obj_unrank_memo[n] = obj
-    return obj
+        return Prod(obj_unrank(l), obj_unrank(r))
+    k = (n - 4) // 2
+    if k >= _TWO_SLOT:
+        k += 1
+    cr, chir = cantor_unpair(k)
+    carrier = obj_unrank(cr)
+    return Abstr(carrier, unrank_code(carrier, TWO, chir))
+
+
+# Two's own Abstr slot, which obj_rank 2 takes over
+_TWO_SLOT = cantor_pair(obj_rank(NAT), rank_code(NAT, TWO, lt2))
 
 
 ### numeric code values
@@ -463,7 +436,10 @@ def _sd_decode_child(n: int) -> Code:
             raise IllTyped("surface child slot holds a machine constant")
         return c
     if flag == 1:
-        return _sd_decode(payload)
+        c = _sd_decode(payload)
+        if not contains_constval(c):
+            raise IllTyped("machine child slot holds no machine constant")
+        return c
     raise IllTyped(f"{flag} is not a child kind")
 
 
@@ -496,36 +472,25 @@ def _sd_decode(n: int) -> Code:
     raise IllTyped(f"{tag} is not a machine-code tag")
 
 
-# The two directions share caches keyed structurally on one side and by the
-# number on the other; reflected evaluation decodes and re-encodes the same
-# handful of configurations thousands of times.
-_num_memo: Dict[Code, int] = {}
+# Numbers to codes, filled by num and from_num: reflected evaluation
+# decodes the same handful of configuration numbers thousands of times,
+# and a number is read before any node exists.  Codes to numbers need no
+# table: a code keeps its number on the node.
 _from_num_memo: Dict[int, Code] = {}
 
 
-def _remember(c: Code, n: int) -> None:
-    if len(_num_memo) > _MEMO_CAP:
-        _num_memo.clear()
-    if len(_from_num_memo) > _MEMO_CAP:
-        _from_num_memo.clear()
-    _num_memo[c] = n
-    _from_num_memo[n] = c
-
-
+@node_fact("_num")
 def num(c: Code) -> int:
     """Injective numbering: pair both object ranks with the code's slot
     (even rank slots for surface codes, odd structural slots for
     ConstVal-bearing machine codes)."""
-    hit = _num_memo.get(c)
-    if hit is not None:
-        return hit
     a, b = typecheck(c)
     if contains_constval(c):
         slot = 2 * _sd_code(c) + 1
     else:
         slot = 2 * rank_code(a, b, c, full=False)
     n = cantor_pair(obj_rank(a), cantor_pair(obj_rank(b), slot))
-    _remember(c, n)
+    memo_store(_from_num_memo, n, c)
     return n
 
 
@@ -539,21 +504,20 @@ def from_num(n: int) -> Code:
     a, b = obj_unrank(ar), obj_unrank(br)
     if slot % 2 == 0:
         c = unrank_code(a, b, slot // 2)
-        _remember(c, n)
-        return c
-    try:
-        c = _sd_decode((slot - 1) // 2)
-    except EvalError as e:
-        raise IllTyped(str(e)) from e
-    if not contains_constval(c):
-        raise IllTyped("odd slot holds no ConstVal: not a canonical code number")
-    try:
-        typing = typecheck(c)
-    except TypeMismatch as e:
-        raise IllTyped(str(e)) from e
-    if typing != (a, b):
-        raise IllTyped("machine code disagrees with its stated typing")
-    _remember(c, n)
+    else:
+        try:
+            c = _sd_decode((slot - 1) // 2)
+        except EvalError as e:
+            raise IllTyped(str(e)) from e
+        if not contains_constval(c):
+            raise IllTyped("odd slot holds no ConstVal: not a canonical code number")
+        try:
+            typing = typecheck(c)
+        except TypeMismatch as e:
+            raise IllTyped(str(e)) from e
+        if typing != (a, b):
+            raise IllTyped("machine code disagrees with its stated typing")
+    memo_store(_from_num_memo, n, c)
     return c
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .coding import (
     IllTyped, decode_value, encode_ord, encode_value, from_num, hashc_num,
-    num, sd_pair, sd_unpair,
+    memo_store, num, sd_pair, sd_unpair,
 )
 from .ordinal import (
     LESS, Ord, ord_cmp, ord_brackets, ord_nat_scale, ord_nat_sum,
@@ -40,7 +40,8 @@ from .term import (
     Abstr, Bang, CDot, Comp, ConstVal, Cyl, DMinus, EDot, EqNat, EvalError,
     FalseC, HashC, Id, Incl, Iter, NAT, NN, Nat, NatV, NotC, Obj, Pair,
     PairV, Prod, ProjL, ProjR, Restrict, Succ, Term, TrueC, TypeMismatch,
-    UNITV, Unit, UnitV, Value, ZeroC, eval_structural, shape_fits, typecheck,
+    UNITV, Unit, UnitV, Value, ZeroC, eval_structural, node_fact, shape_fits,
+    typecheck,
 )
 
 DEFAULT_FUEL = 10 ** 6
@@ -51,15 +52,14 @@ _ONE: Ord = (1,)
 # ---------------------------------------------------------------------------
 # code complexity
 
-_cx_memo: Dict[int, Tuple[Term, Ord]] = {}
-_MEMO_CAP = 200_000
-
-# reflected-step caches: deep towers of self-interpretation revisit the same
+# reflected-step caches, keyed by configuration numbers and capped by
+# coding.memo_store: deep towers of self-interpretation revisit the same
 # coded configurations at every level
 _ccost_memo: Dict[int, int] = {}
 _estep_memo: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
 
+@node_fact("_cx")
 def complexity(c: Term) -> Ord:
     """The ordinal measure of a code.
 
@@ -71,28 +71,20 @@ def complexity(c: Term) -> Ord:
     unfolds into.  Reflected operators cost a flat unit; their real work is
     accounted as nested fuel, not as measure.
     """
-    hit = _cx_memo.get(id(c))
-    if hit is not None and hit[0] is c:
-        return hit[1]
     if isinstance(c, Comp):
-        out = ord_nat_sum(ord_nat_sum(complexity(c.f), complexity(c.g)), (2,))
-    elif isinstance(c, Pair):
-        out = ord_nat_sum(ord_nat_sum(complexity(c.f), complexity(c.g)), (4,))
-    elif isinstance(c, Cyl):
-        out = ord_nat_sum(complexity(c.g), (2,))
-    elif isinstance(c, Restrict):
-        out = ord_nat_sum(
+        return ord_nat_sum(ord_nat_sum(complexity(c.f), complexity(c.g)), (2,))
+    if isinstance(c, Pair):
+        return ord_nat_sum(ord_nat_sum(complexity(c.f), complexity(c.g)), (4,))
+    if isinstance(c, Cyl):
+        return ord_nat_sum(complexity(c.g), (2,))
+    if isinstance(c, Restrict):
+        return ord_nat_sum(
             ord_nat_sum(complexity(c.f), complexity(c.ab.chi)), (2,))
-    elif isinstance(c, Iter):
-        out = ord_omega_shift(ord_nat_sum(complexity(c.g), _ONE))
-    elif isinstance(c, (DMinus, CDot, EDot, HashC)):
-        out = _ONE
-    else:
-        out = ()
-    if len(_cx_memo) > _MEMO_CAP:
-        _cx_memo.clear()
-    _cx_memo[id(c)] = (c, out)
-    return out
+    if isinstance(c, Iter):
+        return ord_omega_shift(ord_nat_sum(complexity(c.g), _ONE))
+    if isinstance(c, (DMinus, CDot, EDot, HashC)):
+        return _ONE
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +464,7 @@ def _apply(cfg: Config, u: Term, tank: FuelTank):
             # the measure factors through the code: the value number is unused
             frames, _ = _unfold(from_num(nu))
             cost = encode_ord(_trim(_raw_sum(frame_cost(fr) for fr in frames)))
-            if len(_ccost_memo) > _MEMO_CAP:
-                _ccost_memo.clear()
-            _ccost_memo[nu] = cost
+            memo_store(_ccost_memo, nu, cost)
         cfg.current = NatV(cost)
         cfg.value_obj = NAT
     elif t is EDot:
@@ -486,8 +476,10 @@ def _apply(cfg: Config, u: Term, tank: FuelTank):
         # replay the recorded step: same single spend at nested depth,
         # so exhaustion surfaces exactly as it would on a fresh compute.
         # The step's descent was checked when it was first computed and
-        # is not checked again; only a mispriced frame_cost, which fails
-        # that check, could tell a hit from a miss.
+        # is not checked again.  This hit is the one place where a run
+        # with caches and one without can differ, and only under a
+        # mispriced frame_cost, which fails that check: with the real
+        # measure both give the same bytes (the tests' caches_off runs).
         tank.depth += 1
         try:
             tank.spend()
@@ -544,9 +536,7 @@ def _edot_miss(cfg: Config, nu: int, nv: int, tank: FuelTank):
         # only cache steps that cost exactly one unit: anything that
         # recursed into a nested run has fuel effects of its own
         if tank.remaining == fuel_before - 1:
-            if len(_estep_memo) > _MEMO_CAP:
-                _estep_memo.clear()
-            _estep_memo[(nu, nv)] = out
+            memo_store(_estep_memo, (nu, nv), out)
         cfg.current = PairV(NatV(out[0]), NatV(out[1]))
     # a halted configuration is a fixed point of the reflected step
     cfg.value_obj = NN

@@ -10,11 +10,25 @@ Four reflected constructors (DMinus, CDot, EDot, HashC) belong to the coded
 layer: they typecheck here but only the iterative machine can run them, and
 the structural evaluator refuses them.  ConstVal is internal plumbing for the
 machine's configuration encoding and has no surface form.
+
+Objects and terms are hash-consed (Filliatre and Conchon, Type-Safe Modular
+Hash-Consing, 2006): every constructor call goes through one intern table,
+so equal objects and terms are the same Python object.  A parsed, decoded
+or copied tree is the very node it spells, and `copy.deepcopy(t) is t`.
+Facts that are functions of a node are computed once and kept on it: the
+typing, object well-formedness, and for the other modules the machine
+complexity, the code and object ranks, the code number and whether a
+ConstVal occurs inside.  The table is never cleared; the only memo tables
+left are keyed by numbers (coding's from_num table, machine's reflected
+cdot and edot tables) and share one cap, coding.memo_store.  Values stay
+structural dataclasses.  The host arithmetic rows of the standard library
+live in _HOST; emptying it gives the plain tree walk everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from math import isqrt
 from typing import Callable, Dict, Optional, Tuple, Union
 
@@ -28,31 +42,91 @@ class EvalError(Exception):
     or a reflected constructor outside the machine."""
 
 
+### hash-consed nodes
+
+# The intern table: (class, *fields) -> node.  Children are nodes already,
+# hashed by identity, so a key is shallow.  Never cleared.
+_TABLE: Dict[tuple, "_Node"] = {}
+
+
+class _Node:
+    """An interned object or term: equal nodes are one Python object, so
+    `==` is `is` and hashing is by identity.  Fields are never assigned
+    after construction; the fact slots of a subclass are filled in once,
+    when the fact is first asked for."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        node = _TABLE.get(key)
+        if node is None:
+            if len(args) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes fields {cls._fields}")
+            node = object.__new__(cls)
+            for name, val in zip(cls._fields, args):
+                setattr(node, name, val)
+            _TABLE[key] = node
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __deepcopy__(self, memo):
+        # the node itself, without re-interning every level of a deep tree
+        return self
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({inner})"
+
+
+_UNSET = object()
+
+
+def node_fact(slot: str):
+    """Decorator for a fact that is a function of a node alone: computed on
+    the first call and kept in the node's `slot`, then read back."""
+    def wrap(compute):
+        @wraps(compute)
+        def fact(node):
+            out = getattr(node, slot, _UNSET)
+            if out is _UNSET:
+                out = compute(node)
+                setattr(node, slot, out)
+            return out
+        return fact
+    return wrap
+
+
 ### objects
 
+class _Obj(_Node):
+    # _ok: obj_check passed; _rank: coding.obj_rank
+    __slots__ = ("_ok", "_rank")
 
-@dataclass(frozen=True)
-class Unit:
+
+class Unit(_Obj):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "Unit"
 
 
-@dataclass(frozen=True)
-class Nat:
+class Nat(_Obj):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "Nat"
 
 
-@dataclass(frozen=True)
-class Prod:
-    left: "Obj"
-    right: "Obj"
+class Prod(_Obj):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Abstr:
-    carrier: "Obj"
-    chi: "Term"  # must typecheck as carrier -> Two
+class Abstr(_Obj):
+    __slots__ = _fields = ("carrier", "chi")  # chi: carrier -> Two
 
 
 Obj = Union[Unit, Nat, Prod, Abstr]
@@ -61,7 +135,7 @@ UNIT = Unit()
 NAT = Nat()
 
 
-### values
+### values (plain structural dataclasses, not interned)
 
 
 @dataclass(frozen=True)
@@ -89,122 +163,99 @@ UNITV = UnitV()
 ### terms
 
 # Leaves carry the objects their typing needs; combinators carry subterms.
-# None of them store their own type; typecheck() computes it.
 
 
-@dataclass(frozen=True)
-class Id:
-    obj: Obj
+class _Term(_Node):
+    # facts of the node, each computed once: _ty typecheck, _cx
+    # machine.complexity, _rank coding.rank_code as (dom, cod, rank),
+    # _num coding.num, _cv coding.contains_constval
+    __slots__ = ("_ty", "_cx", "_rank", "_num", "_cv")
 
 
-@dataclass(frozen=True)
-class Bang:
-    obj: Obj
+class Id(_Term):
+    __slots__ = _fields = ("obj",)
 
 
-@dataclass(frozen=True)
-class ZeroC:
-    obj: Obj
+class Bang(_Term):
+    __slots__ = _fields = ("obj",)
 
 
-@dataclass(frozen=True)
-class Succ:
-    pass
+class ZeroC(_Term):
+    __slots__ = _fields = ("obj",)
 
 
-@dataclass(frozen=True)
-class ProjL:
-    left: Obj
-    right: Obj
+class Succ(_Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProjR:
-    left: Obj
-    right: Obj
+class ProjL(_Term):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pair:
-    f: "Term"
-    g: "Term"
+class ProjR(_Term):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Comp:
-    g: "Term"  # applied second
-    f: "Term"  # applied first
+class Pair(_Term):
+    __slots__ = _fields = ("f", "g")
 
 
-@dataclass(frozen=True)
-class Cyl:
-    c: Obj
-    g: "Term"
+class Comp(_Term):
+    __slots__ = _fields = ("g", "f")  # g applied second, f applied first
 
 
-@dataclass(frozen=True)
-class Iter:
-    g: "Term"  # endomap; Iter(g)(a, n) = g^n(a)
+class Cyl(_Term):
+    __slots__ = _fields = ("c", "g")
 
 
-@dataclass(frozen=True)
-class TrueC:
-    pass
+class Iter(_Term):
+    __slots__ = _fields = ("g",)  # endomap; Iter(g)(a, n) = g^n(a)
 
 
-@dataclass(frozen=True)
-class FalseC:
-    pass
+class TrueC(_Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NotC:
-    pass
+class FalseC(_Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EqNat:
-    pass
+class NotC(_Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Incl:
-    ab: Abstr
+class EqNat(_Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Restrict:
-    f: "Term"
-    ab: Abstr
+class Incl(_Term):
+    __slots__ = _fields = ("ab",)
 
 
-@dataclass(frozen=True)
-class ConstVal:
+class Restrict(_Term):
+    __slots__ = _fields = ("f", "ab")
+
+
+class ConstVal(_Term):
     # machine-internal literal; value must fit obj's carrier shape
-    obj: Obj
-    value: Value
+    __slots__ = _fields = ("obj", "value")
 
 
-@dataclass(frozen=True)
-class DMinus:
+class DMinus(_Term):
     # reflected bounded-descent search: c complexity code, p step code
-    c: "Term"
-    p: "Term"
+    __slots__ = _fields = ("c", "p")
 
 
-@dataclass(frozen=True)
-class CDot:
-    pass
+class CDot(_Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EDot:
-    pass
+class EDot(_Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HashC:
-    pass
+class HashC(_Term):
+    __slots__ = ()
 
 
 Term = Union[
@@ -261,16 +312,9 @@ def zero_value(obj: Obj) -> Value:
 
 ### typing
 
-_tc_memo: Dict[int, Tuple[Term, Tuple[Obj, Obj]]] = {}
-_obj_memo: Dict[int, Obj] = {}
-_MEMO_CAP = 200_000  # decoded code trees are fresh objects; keep memos bounded
-
-
+@node_fact("_ok")
 def obj_check(obj: Obj) -> None:
     """Validate well-formedness: every Abstr's chi is a carrier -> Two map."""
-    key = id(obj)
-    if key in _obj_memo:
-        return
     if isinstance(obj, Prod):
         obj_check(obj.left)
         obj_check(obj.right)
@@ -280,25 +324,13 @@ def obj_check(obj: Obj) -> None:
         if dom != obj.carrier or cod != TWO:
             raise TypeMismatch(
                 f"abstraction predicate must map the carrier into Two, got {dom} -> {cod}")
-    if len(_obj_memo) > _MEMO_CAP:
-        _obj_memo.clear()
-    _obj_memo[key] = obj
+    elif not isinstance(obj, (Unit, Nat)):
+        raise TypeMismatch(f"not an object: {obj!r}")
 
 
+@node_fact("_ty")
 def typecheck(t: Term) -> Tuple[Obj, Obj]:
     """Compute (dom, cod) or raise TypeMismatch.  Typings are principal."""
-    key = id(t)
-    hit = _tc_memo.get(key)
-    if hit is not None:
-        return hit[1]
-    res = _typecheck(t)
-    if len(_tc_memo) > _MEMO_CAP:
-        _tc_memo.clear()
-    _tc_memo[key] = (t, res)
-    return res
-
-
-def _typecheck(t: Term) -> Tuple[Obj, Obj]:
     if isinstance(t, Id):
         obj_check(t.obj)
         return (t.obj, t.obj)
@@ -396,14 +428,15 @@ def eval_structural(t: Term, v: Value) -> Value:
     """Total evaluator by structural recursion.  Reflected constructors are
     refused: their semantics is the step machine's.
 
-    The module-level standard-library nodes in _HOST are computed with host
-    integers; any other node, a structural copy of a stdlib node included,
-    takes the plain tree walk, which stays the reference."""
+    The standard-library nodes in _HOST are computed with host integers,
+    however they were built: a parsed or decoded copy is the same node.
+    Every other node takes the plain tree walk, which stays the reference
+    (tests get it everywhere by emptying _HOST)."""
     k = type(t)
     if k is Comp or k is Iter:
-        entry = _HOST.get(id(t))
-        if entry is not None:
-            out = entry[1](v)
+        host = _HOST.get(t)
+        if host is not None:
+            out = host(v)
             if out is not None:
                 return out
     if k is Comp:
@@ -609,8 +642,7 @@ def nat_unpair(n: int) -> Tuple[int, int]:
     return w - y, y
 
 
-# Host arithmetic for eval_structural, keyed by id(): each entry holds its
-# node, so no other live object can take that id.  An entry answers only on
+# Host arithmetic for eval_structural, keyed by node.  An entry answers only on
 # its natural, pair of naturals, or (for mod_cycle) ((r, k), a) with every
 # component >= 0 and returns None otherwise, so ill-shaped or negative inputs
 # take the tree walk and keep its results and EvalError texts.
@@ -646,20 +678,20 @@ def _mod_cycle_host(v: Value) -> Optional[Value]:
     return None
 
 
-_HOST = {id(node): (node, fn) for node, fn in (
-    (pred, _on_n(lambda n: NatV(max(n - 1, 0)))),
-    (eq0, _on_n(lambda n: NatV(int(n == 0)))),
-    (lt2, _on_n(lambda n: NatV(int(n < 2)))),
-    (tri, _on_n(lambda n: NatV(n * (n - 1) // 2))),
-    (cantor_unpair, _on_n(lambda n: PairV(*map(NatV, nat_unpair(n))))),
-    (add, _on_nn(lambda m, k: NatV(m + k))),
-    (monus, _on_nn(lambda m, k: NatV(max(m - k, 0)))),
-    (mul, _on_nn(lambda m, k: NatV(m * k))),
-    (leq, _on_nn(lambda m, k: NatV(int(m <= k)))),
-    (eq, _on_nn(lambda m, k: NatV(int(m == k)))),
-    (cantor_pair, _on_nn(lambda x, y: NatV(nat_pair(x, y)))),
-    (mod_cycle, _mod_cycle_host),
-)}
+_HOST: Dict[Term, Callable[[Value], Optional[Value]]] = {
+    pred: _on_n(lambda n: NatV(max(n - 1, 0))),
+    eq0: _on_n(lambda n: NatV(int(n == 0))),
+    lt2: _on_n(lambda n: NatV(int(n < 2))),
+    tri: _on_n(lambda n: NatV(n * (n - 1) // 2)),
+    cantor_unpair: _on_n(lambda n: PairV(*map(NatV, nat_unpair(n)))),
+    add: _on_nn(lambda m, k: NatV(m + k)),
+    monus: _on_nn(lambda m, k: NatV(max(m - k, 0))),
+    mul: _on_nn(lambda m, k: NatV(m * k)),
+    leq: _on_nn(lambda m, k: NatV(int(m <= k))),
+    eq: _on_nn(lambda m, k: NatV(int(m == k))),
+    cantor_pair: _on_nn(lambda x, y: NatV(nat_pair(x, y))),
+    mod_cycle: _mod_cycle_host,
+}
 
 
 ### names

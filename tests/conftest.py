@@ -1,0 +1,44 @@
+"""Shared fixtures: the run with every cache and host row off."""
+
+import contextlib
+from unittest import mock
+
+import pytest
+
+from prcalc import machine, term
+
+
+class _NoStore(dict):
+    """A memo table that never keeps an entry."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@contextlib.contextmanager
+def _off():
+    # the machine's number-keyed reflected-step tables take no entries and
+    # the structural evaluator has no host rows; facts kept on the nodes
+    # stay, being functions of the node
+    with mock.patch.multiple(machine, _estep_memo=_NoStore(),
+                             _ccost_memo=_NoStore()), \
+            mock.patch.object(term, "_HOST", {}):
+        yield
+
+
+@pytest.fixture
+def caches_off():
+    """The test runs with caches and host rows off."""
+    with _off():
+        yield
+
+
+@pytest.fixture
+def plain():
+    """plain(fn, *args) calls fn with caches and host rows off, so the
+    structural evaluator takes the plain tree walk at every node: the
+    oracle for the host rows."""
+    def run(fn, *args):
+        with _off():
+            return fn(*args)
+    return run

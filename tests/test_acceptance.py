@@ -7,7 +7,6 @@ scale, while-loop instances against host arithmetic, and the recorded
 self-referential probe.
 """
 
-import copy
 import io
 import math
 import random
@@ -106,7 +105,7 @@ def _corpus_rows() -> List[Tuple[str, Term, int, int]]:
 
 
 def _iter_depth(t: Term) -> int:
-    kids = [getattr(t, f) for f in getattr(t, "__dataclass_fields__", ())]
+    kids = [getattr(t, f) for f in t._fields]
     sub = max((_iter_depth(k) for k in kids if isinstance(k, Term)), default=0)
     return sub + (1 if isinstance(t, Iter) else 0)
 
@@ -310,30 +309,32 @@ class TestIterationInstances:
             assert got.index == steps, (a, b)
             assert got.value == final, (a, b)
 
-    def test_gcd_plain_walk_matches_the_shared_mod_cycle(self):
+    def test_gcd_plain_walk_matches_the_shared_mod_cycle(self, plain):
         # the oracle test above takes the mod cycle's host row on both
-        # sides; a deep copy has fresh ids and takes the plain walk
+        # sides; with the host table emptied it takes the plain walk
         inst = gcd_cci()
-        plain = copy.deepcopy(inst)
         for a, b in [(12, 18), (299, 221), (144, 89), (0, 255), (256, 0),
                      (7, 7), (210, 294)]:
             got = cci_run(inst, gcd_state(a, b), FUEL)
-            assert got == cci_run(plain, gcd_state(a, b), FUEL), (a, b)
+            assert got == plain(cci_run, inst, gcd_state(a, b), FUEL), (a, b)
             assert got.value.left.n == math.gcd(a, b), (a, b)
 
-    def test_gcd_partial_plain_walk_matches_the_shared_mod_cycle(self):
+    def test_gcd_partial_plain_walk_matches_the_shared_mod_cycle(self, plain):
         # the plain walk of the search is about cubic in a + b: small pairs
         f = gcd_partial()
-        plain = copy.deepcopy(f)
         for a, b, fuel in [(12, 18, 100), (35, 14, 100), (0, 7, 100),
                            (17, 0, 100), (21, 13, 100), (35, 14, 20)]:
             arg = PairV(N(a), N(b))
             got = par_apply(f, arg, fuel)
-            assert got == par_apply(plain, arg, fuel), (a, b, fuel)
+            assert got == plain(par_apply, f, arg, fuel), (a, b, fuel)
         assert got == ParFuel(20)
 
     def test_gcd_instance_file_is_the_built_tree(self):
-        assert load_cci((CORPUS / "gcd.cci").read_text()) == gcd_cci()
+        inst, built = load_cci((CORPUS / "gcd.cci").read_text()), gcd_cci()
+        assert inst == built
+        # the parsed instance is the built one's own nodes, host rows and all
+        assert inst.c is built.c and inst.p is built.p
+        assert inst.space is built.space
 
     def test_zero_complexity_is_stationary(self):
         inst = CCIInstance(NAT, zero_n, Id(NAT))
@@ -358,6 +359,10 @@ class TestDiagonalProbe:
         assert time.monotonic() - start < 600
         assert report.verdict != "ContradictionValue"
         text = "\n".join(liar_report_lines(report)) + "\n"
+        assert text == self.GOLDEN.read_text()
+
+    def test_matches_the_recorded_run_with_caches_off(self, caches_off):
+        text = "\n".join(liar_report_lines(run_liar(100000))) + "\n"
         assert text == self.GOLDEN.read_text()
 
     def test_report_is_well_formed(self):

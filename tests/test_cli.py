@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import prcalc.machine as machine
+from prcalc import term
 from prcalc.cli import main
 from prcalc.partial import gcd_state
 from prcalc.surface import parse_term, print_value
@@ -142,6 +143,23 @@ class TestCCI:
         assert code == 0
         assert out.startswith("((6,(0,0)),")
 
+    def test_parsed_instance_takes_the_mod_cycle_host_row(self, monkeypatch):
+        # the file parses to gcd_cci()'s own nodes, so each a mod b is one
+        # host row, not an O(a) tree walk
+        seen = []
+        row = term._HOST[term.mod_cycle]
+
+        def counting(v):
+            seen.append(v)
+            return row(v)
+
+        monkeypatch.setitem(term._HOST, term.mod_cycle, counting)
+        code, out, _ = run_cli(["cci", "--term", term_path("gcd.cci"),
+                                "--arg", print_value(gcd_state(9999, 7777))])
+        assert (code, out) == (0, "((1111,(0,0)), 32)\n")
+        # 9999 mod 7777 is the first: ((r, k), a) = ((0, 7777), 9999)
+        assert seen[0] == PairV(PairV(NatV(0), NatV(7777)), NatV(9999))
+
     def test_audit(self):
         code, out, _ = run_cli(["cci", "--term", term_path("gcd.cci"),
                                 "--audit", "4", "--seed", "2"])
@@ -226,6 +244,18 @@ class TestCorpus:
                                 "--seed", "0"])
         assert code == 0
         assert out.splitlines()[-1] == want[0]
+
+    def test_whole_sweep_is_the_recorded_one_with_caches_off(self,
+                                                              caches_off):
+        # every record of the seed-0 sweep, recorded before terms were
+        # interned, and the summary the README shows
+        code, out, _ = run_cli(["corpus", "--term", str(CORPUS / "corpus.txt"),
+                                "--seed", "0", "--format", "records"])
+        assert code == 0
+        recorded = ROOT / "tests" / "data" / "corpus_seed0_records.txt"
+        assert out == recorded.read_text()
+        summary = out.split("kind=corpus-summary\n")[1].split()
+        assert "summary: " + " ".join(summary) in (ROOT / "README.md").read_text()
 
     def test_machine_descent_violations_are_counted(self, tmp_path,
                                                     monkeypatch):

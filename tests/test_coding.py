@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from prcalc import coding
 from prcalc.coding import (
     IllTyped, NotAPredicateCode, cantor_pair, cantor_unpair, cont, cont_raw,
     contains_constval, decode, from_num, hashc_num, num, obj_rank,
@@ -162,6 +163,35 @@ class TestNum:
                 assert seen[n] == c
             else:
                 seen[n] = c
+
+    def test_machine_child_without_a_constant_is_not_canonical(self):
+        # a surface subtree written in the machine child kind: it decodes
+        # to a real code, but that code's number is another one
+        g, f = Comp(Succ(), Succ()), Comp(ConstVal(NAT, N(4)), Bang(NAT))
+        sd = coding.sd_pair
+        g_machine = sd(1, sd(coding._SD_COMP, sd(coding._sd_child(Succ()),
+                                                 coding._sd_child(Succ()))))
+        slot = 2 * sd(coding._SD_COMP, sd(g_machine, coding._sd_child(f))) + 1
+        n = cantor_pair(1, cantor_pair(1, slot))
+        assert n != num(Comp(g, f))
+        with pytest.raises(IllTyped, match="no machine constant"):
+            from_num(n)
+
+    def test_random_numbers_decode_or_are_refused(self):
+        # every number of 8 to 4096 bits is its code's own number or
+        # IllTyped, never another exception
+        rng = random.Random("from_num:robust")
+        decoded = 0
+        for _ in range(200):
+            bits = rng.randint(8, 4096)
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            try:
+                c = from_num(n)
+            except IllTyped:
+                continue
+            assert num(c) == n, n
+            decoded += 1
+        assert decoded >= 50
 
     def test_constval_codes_get_odd_slots(self):
         c = Comp(ConstVal(NAT, N(4)), Bang(NAT))

@@ -101,6 +101,12 @@ def test_fuel_accounting_matches_recorded_runs():
         assert g == w
 
 
+def test_fuel_accounting_is_the_same_with_caches_off(caches_off):
+    # no edot step is replayed from the memo, so every reflected step
+    # runs its own descent check; the real measure never fails one
+    assert _lines() == DATA.read_text().splitlines()
+
+
 if __name__ == "__main__":
     # print the lines the data file holds
     print("\n".join(accounting_lines()))

@@ -1,6 +1,7 @@
 """Typing, evaluation, and the derived-map library."""
 
 import copy
+import pickle
 import random
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from prcalc.coding import cont_raw
 from prcalc.gen import random_obj, random_term
-from prcalc.surface import parse_term
+from prcalc.surface import parse_term, print_term
 from prcalc.term import (
     Abstr, Bang, CDot, Comp, ConstVal, Cyl, DMinus, EDot, EqNat, EvalError,
     FalseC, HashC, Id, Incl, Iter, NAT, NN, NatV, NotC, Pair, PairV, Prod,
@@ -94,6 +95,55 @@ class TestTypecheck:
     def test_cond_typings(self):
         for obj in (NAT, UNIT, NN, TWO, Prod(TWO, NAT)):
             assert typecheck(cond(obj)) == (Prod(TWO, Prod(obj, obj)), obj)
+
+
+class TestInterning:
+    NODES = [Comp(Succ(), Pair(Id(NAT), Comp(ZeroC(NAT), Bang(NAT)))), mul,
+             TWO, Abstr(NN, Comp(eq0, ProjL(NAT, NAT))), Prod(TWO, NN),
+             ConstVal(NN, nat2(3, 4)), ConstVal(NAT, N(10 ** 40))]
+
+    def test_copies_are_the_same_node(self):
+        for t in self.NODES:
+            assert copy.copy(t) is t
+            assert copy.deepcopy(t) is t
+            assert copy.deepcopy([t, (t, 1)])[1][0] is t
+            assert pickle.loads(pickle.dumps(t)) is t
+
+    def test_equal_constructions_are_one_node(self):
+        assert Comp(Succ(), Id(NAT)) is Comp(Succ(), Id(NAT))
+        assert Comp(Succ(), Id(NAT)) is not Comp(Id(NAT), Succ())
+        assert Abstr(NAT, lt2) is TWO
+        assert Prod(NAT, NAT) is NN
+        # values stay structural: equal values give one literal node
+        assert ConstVal(NN, P(N(1), N(2))) is ConstVal(Prod(NAT, NAT), nat2(1, 2))
+        assert ConstVal(NAT, N(1)) is not ConstVal(TWO, N(1))
+
+    @pytest.mark.parametrize("name", sorted(STDLIB))
+    def test_parsed_expansion_is_the_stdlib_node(self, name):
+        text = print_term(STDLIB[name])
+        assert text.startswith("(")  # the full tree, no name
+        assert parse_term(text) is STDLIB[name]
+
+    def test_facts_are_stored_on_the_node(self):
+        # a literal no other test builds, so the nodes start bare
+        k = Comp(ConstVal(NAT, N(918273645)), Bang(NN))
+        t = Comp(HashC(), Comp(Succ(), k))
+        assert not hasattr(t, "_ty") and not hasattr(k, "_ty")
+        assert typecheck(t) == (NN, NAT)
+        assert t._ty == (NN, NAT) and k._ty == (NN, NAT)
+        ab = Abstr(NN, Comp(EqNat(), Pair(ProjR(NAT, NAT), k)))
+        assert not hasattr(ab, "_ok")
+        obj_check(ab)
+        assert hasattr(ab, "_ok")
+
+    def test_repr_and_arity(self):
+        assert repr(Comp(Succ(), Id(NN))) == (
+            "Comp(g=Succ(), f=Id(obj=Prod(left=Nat, right=Nat)))")
+        assert repr(ConstVal(UNIT, UNITV)) == "ConstVal(obj=Unit, value=UnitV)"
+        with pytest.raises(TypeError):
+            Comp(Succ())
+        with pytest.raises(TypeMismatch, match="not an object"):
+            typecheck(Id(Succ()))
 
 
 class TestDepth:
@@ -324,16 +374,16 @@ HOST_NAMES = ["pred", "eq0", "lt2", "tri", "cantor_unpair", "add", "monus",
 
 class TestHostArithmetic:
     def test_table_covers_the_named_stdlib_nodes(self):
-        assert ([node for node, _ in term._HOST.values()]
+        assert (list(term._HOST)
                 == [getattr(term, name) for name in HOST_NAMES])
 
     @pytest.mark.parametrize("name", HOST_NAMES)
-    def test_entry_matches_the_plain_walk(self, name):
+    def test_entry_matches_the_plain_walk(self, name, plain):
         node = getattr(term, name)
-        plain = copy.deepcopy(node)  # a fresh id: the tree walk throughout
-        assert plain == node and id(plain) not in term._HOST
+        assert node in term._HOST
+        assert plain(lambda: node in term._HOST) is False
         for v in HOST_ARGS[typecheck(node)[0]]:
-            assert outcome(node, v) == outcome(plain, v), v
+            assert outcome(node, v) == plain(outcome, node, v), v
 
     def test_out_of_contract_results_fall_through(self):
         # the tree walk's values; the host formulas would give -3, 5, 3, 1

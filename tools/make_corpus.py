@@ -92,7 +92,7 @@ GEN_CAP = 8
 
 def iter_depth(t: Term) -> int:
     """Deepest chain of Iter constructors along any path."""
-    kids = [getattr(t, f) for f in getattr(t, "__dataclass_fields__", ())]
+    kids = [getattr(t, f) for f in t._fields]
     sub = max((iter_depth(k) for k in kids if isinstance(k, Term)), default=0)
     return sub + (1 if isinstance(t, Iter) else 0)
 
@@ -101,8 +101,7 @@ def has_abstr_typing(t: Term) -> bool:
     def deep(obj) -> bool:
         if isinstance(obj, Abstr):
             return True
-        kids = [getattr(obj, f)
-                for f in getattr(obj, "__dataclass_fields__", ())]
+        kids = [getattr(obj, f) for f in obj._fields]
         return any(deep(k) for k in kids if not isinstance(k, (str, Term)))
     dom, cod = typecheck(t)
     return deep(dom) or deep(cod)
