@@ -27,15 +27,13 @@ from .gen import random_value
 from .machine import (
     Apply, DescentViolation, Done, EvalFailure, FuelExhausted,
     NestedFuelExhausted, Outcome, StatViolation, eval_iterative, frame_cost,
-    trace,
+    objectivity_check, trace,
 )
 from .ordinal import LESS, Ord, ord_brackets, ord_cmp
 from .partial import (
-    CCIDone, DescViolation, UnsupportedConstructor, audit_cci, cci_run,
-    load_cci, middle_inverse_total, mu_search, structural_middle_inverse,
+    CCIDone, UnsupportedConstructor, audit_cci, cci_run, load_cci,
+    middle_inverse_total, mu_search, structural_middle_inverse,
 )
-from .partial import Done as ParDone
-from .partial import FuelExhausted as ParFuel
 from .surface import NumeralTooLong, ParseError, parse_term, parse_value, \
     print_nat, print_obj, print_term, print_value
 from .term import (
@@ -199,23 +197,12 @@ def _cmd_cci(a) -> int:
     code = 0
     if a.arg is not None:
         got = cci_run(inst, parse_value(a.arg), a.fuel)
-        if isinstance(got, CCIDone):
-            if a.format == "records":
-                lines += [f"value={print_value(got.value)}",
-                          f"index={got.index}"]
-            else:
-                lines.append(f"({print_value(got.value)}, {got.index})")
-        elif isinstance(got, DescViolation):
-            lines.append(
-                f"descent violation at step {got.step}: "
-                f"{ord_brackets(got.before)} -> {ord_brackets(got.after)}")
-            code = 1
-        elif isinstance(got, ParFuel):
-            lines.append(f"fuel exhausted after {got.fuel} steps")
-            code = 1
+        if not isinstance(got, CCIDone):
+            lines, code = _outcome_lines(got, a.format == "records")
+        elif a.format == "records":
+            lines += [f"value={print_value(got.value)}", f"index={got.index}"]
         else:
-            lines.append(f"stationarity violation at {print_value(got.state)}")
-            code = 1
+            lines.append(f"({print_value(got.value)}, {got.index})")
     if a.audit:
         rng = random.Random(f"{a.seed}:cci")
         args = [random_value(rng, inst.space) for _ in range(a.audit)]
@@ -262,8 +249,8 @@ def _cmd_mu(a) -> int:
     phi = _load_term(_need(a.term, "--term", "mu"))
     v = parse_value(_need(a.arg, "--arg", "mu"))
     got = mu_search(phi, v, a.fuel)
-    if isinstance(got, ParFuel):
-        _emit([f"no witness below {got.fuel}"], a.trace_path)
+    if isinstance(got, FuelExhausted):
+        _emit([f"no witness below {a.fuel}"], a.trace_path)
         return 1
     _emit([f"index={got}" if a.format == "records" else str(got)],
           a.trace_path)
@@ -278,16 +265,18 @@ def _cmd_liar(a) -> int:
 
 def _parse_corpus_line(line: str) -> Tuple[str, int, int]:
     parts = line.split()
-    path, samples, cap = parts[0], 100, 12
+    opts = {"samples": 100, "cap": 12}
     for part in parts[1:]:
         key, _, val = part.partition("=")
-        if key == "samples":
-            samples = int(val)
-        elif key == "cap":
-            cap = int(val)
-        else:
+        if key not in opts:
             raise _Usage(f"unknown sampling key {key!r}")
-    return path, samples, cap
+        try:
+            opts[key] = int(val)
+        except ValueError:
+            opts[key] = -1
+        if opts[key] < 0:
+            raise _Usage(f"{key}= needs a non-negative integer, got {val!r}")
+    return parts[0], opts["samples"], opts["cap"]
 
 
 def _cmd_corpus(a) -> int:
@@ -298,12 +287,6 @@ def _cmd_corpus(a) -> int:
               "descent_violations": 0, "fuel_exhausted": 0}
     max_steps = 0
     max_cx: Ord = ()
-    steps = 0
-
-    def count_step(idx: int, _cfg) -> None:
-        nonlocal steps
-        steps = idx + 1
-
     for raw in _read(corpus_path).splitlines():
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -312,29 +295,15 @@ def _cmd_corpus(a) -> int:
         t = parse_term(_read(os.path.join(base, rel)))
         dom, _ = typecheck(t)
         rng = random.Random(f"{a.seed}:{rel}")
-        mismatches = fuel_out = desc = 0
-        term_steps = 0
+        args = [random_value(rng, dom, cap) for _ in range(samples)]
+        entries = objectivity_check(t, args, a.fuel).entries
+        mismatches = sum(e.kind == "mismatch" for e in entries)
+        fuel_out = sum(e.kind == "fuel" for e in entries)
+        desc = sum(isinstance(e.outcome, DescentViolation) for e in entries)
+        term_steps = max((e.steps for e in entries), default=0)
         # the machine checks that the measure falls at every step, so each
         # run's first configuration, [Apply(t)], is its most complex one
         term_cx: Ord = frame_cost(Apply(t)) if samples else ()
-        for _ in range(samples):
-            arg = random_value(rng, dom, cap)
-            steps = 0
-            got = eval_iterative(t, arg, a.fuel, on_record=count_step)
-            try:
-                expected = eval_structural(t, arg)
-            except EvalError:
-                expected = None
-            if isinstance(got, Done):
-                mismatches += got.value != expected
-            elif isinstance(got, EvalFailure):
-                mismatches += expected is not None
-            elif isinstance(got, (FuelExhausted, NestedFuelExhausted)):
-                fuel_out += 1
-            else:
-                mismatches += 1
-            desc += isinstance(got, DescentViolation)
-            term_steps = max(term_steps, steps)
         totals["terms"] += 1
         totals["args"] += samples
         totals["mismatches"] += mismatches
@@ -391,6 +360,10 @@ _HANDLERS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for flag in ("fuel", "audit"):
+            n = getattr(args, flag)
+            if n is not None and n < 0:
+                raise _Usage(f"--{flag} must be non-negative, got {n}")
         return _HANDLERS[args.subcommand](args)
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)

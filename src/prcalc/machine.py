@@ -752,7 +752,8 @@ def trace(u: Term, v: Value, fuel: int = DEFAULT_FUEL,
 class ObjectivityEntry:
     arg: Value
     kind: str  # match | mismatch | both_fail | fuel
-    note: str
+    outcome: Outcome
+    steps: int  # top-level steps fired, the failing one included
 
 
 @dataclass(frozen=True)
@@ -775,33 +776,36 @@ class ObjectivityReport:
 
 def objectivity_check(t: Term, args, fuel: int = DEFAULT_FUEL,
                       ) -> ObjectivityReport:
-    """Compare the machine against structural evaluation on sample args."""
+    """Compare the machine against structural evaluation on sample args.
+
+    A machine value that differs from the structural one, a machine
+    failure where the structural walk succeeds, and a descent or
+    stationarity violation are all mismatches; running out of fuel is
+    not, since it says nothing about the value.
+    """
     entries = []
+    steps = 0
+
+    def count_step(idx: int, _cfg: Config) -> None:
+        nonlocal steps
+        steps = idx + 1
+
     for arg in args:
-        expected: Optional[Value] = None
-        structural_err = ""
         try:
-            expected = eval_structural(t, arg)
-        except EvalError as e:
-            structural_err = str(e)
-        got = eval_iterative(t, arg, fuel)
+            expected: Optional[Value] = eval_structural(t, arg)
+        except EvalError:
+            expected = None
+        steps = 0
+        got = eval_iterative(t, arg, fuel, on_record=count_step)
         if isinstance(got, Done):
-            if expected is not None and got.value == expected:
-                kind, note = "match", ""
-            else:
-                kind = "mismatch"
-                note = (f"structural {structural_err or print_value(expected)}"
-                        f" vs machine {print_value(got.value)}")
+            kind = "match" if got.value == expected else "mismatch"
         elif isinstance(got, EvalFailure):
-            if expected is None:
-                kind, note = "both_fail", got.reason
-            else:
-                kind, note = "mismatch", f"machine failed: {got.reason}"
+            kind = "both_fail" if expected is None else "mismatch"
         elif isinstance(got, (FuelExhausted, NestedFuelExhausted)):
-            kind, note = "fuel", outcome_kind(got)
+            kind = "fuel"
         else:
-            kind, note = "mismatch", f"{outcome_kind(got)}: {got}"
-        entries.append(ObjectivityEntry(arg, kind, note))
+            kind = "mismatch"
+        entries.append(ObjectivityEntry(arg, kind, got, steps))
     return ObjectivityReport(t, tuple(entries))
 
 

@@ -9,15 +9,22 @@ and "undefined" is never certified - only reported as FuelExhausted.
 The same discipline drives complexity-controlled iteration (CCI): a step
 map p is iterated while a complexity c is positive, where c yields encoded
 ordinal values and the runner checks strict descent at every step and
-stationarity at zero.
+stationarity at zero.  That is the step machine's discipline, so the
+runners here report in the machine's outcome classes (`Done`,
+`FuelExhausted`, `DescentViolation`, `StatViolation`); only a finished
+iteration has its own, `CCIDone`.  A search has no measure, so its
+`FuelExhausted` tail is empty; a CCI run's tail holds its last ten
+(step, measure after the step) readings, as the machine's does.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .coding import cont, decode_ord
+from .machine import DescentViolation, Done, FuelExhausted, StatViolation
 from .ordinal import LESS, Ord, ord_cmp
 from .surface import ParseError, _cursor, _parse_obj, _parse_term
 from .term import (
@@ -75,7 +82,7 @@ __all__ = [
     "CCIAuditEntry",
     "CCIDone",
     "CCIInstance",
-    "DescViolation",
+    "DescentViolation",
     "Done",
     "FuelExhausted",
     "MuEntry",
@@ -106,21 +113,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# outcomes
-
-@dataclass(frozen=True)
-class Done:
-    """A produced value."""
-
-    value: Value
-
-
-@dataclass(frozen=True)
-class FuelExhausted:
-    """No witness below the budget; not a certificate of undefinedness."""
-
-    fuel: int
-
+# outcomes: the machine's, plus CCIDone
 
 @dataclass(frozen=True)
 class CCIDone:
@@ -128,24 +121,6 @@ class CCIDone:
 
     value: Value
     index: int
-
-
-@dataclass(frozen=True)
-class DescViolation:
-    """The complexity failed to strictly drop across one step."""
-
-    step: int
-    state: Value
-    before: Ord
-    after: Ord
-
-
-@dataclass(frozen=True)
-class StatViolation:
-    """The step map moved a state whose complexity is already zero."""
-
-    state: Value
-    moved: Value
 
 
 class UnsupportedConstructor(Exception):
@@ -239,7 +214,7 @@ def mu_search(phi: Term, a: Value, fuel: int) -> Union[int, FuelExhausted]:
     for n in range(fuel):
         if eval_structural(phi, PairV(a, NatV(n))) == NatV(1):
             return n
-    return FuelExhausted(fuel)
+    return FuelExhausted(())
 
 
 def par_apply(f: PartialMap, a: Value, fuel: int) -> Union[Done, FuelExhausted]:
@@ -455,24 +430,27 @@ def cci_run(inst: CCIInstance, a: Value, fuel: int):
     Returns CCIDone(final state, termination index) on success; the index
     is the number of steps taken, minimal by construction.  Descent is
     checked across every step, stationarity once the complexity is zero.
+    The run is deterministic, so a failure's step number names its state:
+    p applied that many times to a.
     """
     if not value_check(inst.space, a):
         raise TypeMismatch("start state outside the space")
     state = a
     cur = _measure(inst, state)
     idx = 0
+    tail: deque = deque(maxlen=10)
     while cur != ():
         if idx >= fuel:
-            return FuelExhausted(fuel)
+            return FuelExhausted(tuple(tail))
         nxt = eval_structural(inst.p, state)
         after = _measure(inst, nxt)
         if ord_cmp(after, cur) != LESS:
-            return DescViolation(step=idx, state=state, before=cur, after=after)
+            return DescentViolation(idx, cur, after)
         state, cur = nxt, after
+        tail.append((idx, cur))
         idx += 1
-    moved = eval_structural(inst.p, state)
-    if moved != state:
-        return StatViolation(state=state, moved=moved)
+    if eval_structural(inst.p, state) != state:
+        return StatViolation(idx)
     return CCIDone(value=state, index=idx)
 
 
@@ -506,7 +484,7 @@ def audit_cci(inst: CCIInstance, args: Sequence[Value], fuel: int) -> CCIAudit:
             entries.append(CCIAuditEntry(a, "done", got.index))
         elif isinstance(got, FuelExhausted):
             entries.append(CCIAuditEntry(a, "fuel", None))
-        elif isinstance(got, DescViolation):
+        elif isinstance(got, DescentViolation):
             entries.append(CCIAuditEntry(a, "desc", got.step))
         else:
             entries.append(CCIAuditEntry(a, "stat", None))
@@ -538,7 +516,7 @@ def define_by_exists(phi: Term, a: Value, fuel: int,
         b = cont(values, point, n)
         if eval_structural(phi, PairV(a, b)) == NatV(1):
             return Done(b)
-    return FuelExhausted(fuel)
+    return FuelExhausted(())
 
 
 @dataclass(frozen=True)

@@ -29,18 +29,17 @@ from prcalc.coding import (
 from prcalc.diagonal import liar_report_lines, run_liar
 from prcalc.gen import nat_const, random_predicate, random_value
 from prcalc.machine import (
+    DescentViolation,
     Done,
     EvalFailure,
     FuelExhausted,
     NestedFuelExhausted,
     eval_iterative,
 )
-from prcalc.machine import DescentViolation as MachineDescent
 from prcalc.ordinal import descent_check
 from prcalc.partial import (
     CCIDone,
     CCIInstance,
-    DescViolation,
     cci_run,
     gcd_cci,
     gcd_partial,
@@ -53,8 +52,6 @@ from prcalc.partial import (
     structural_middle_inverse,
     total_as_partial,
 )
-from prcalc.partial import Done as ParDone
-from prcalc.partial import FuelExhausted as ParFuel
 from prcalc.surface import parse_term
 from prcalc.term import (
     NAT,
@@ -151,7 +148,7 @@ def sweep(corpus_rows):
                     stats.mismatches += 1
             elif isinstance(got, (FuelExhausted, NestedFuelExhausted)):
                 stats.fuel_exhausted += 1
-            elif isinstance(got, MachineDescent):
+            elif isinstance(got, DescentViolation):
                 stats.descent_violations += 1
             elif not (isinstance(got, EvalFailure) and expected is None):
                 stats.mismatches += 1
@@ -249,9 +246,9 @@ class TestChoiceLaws:
             for _ in range(100):
                 a = draw(rng)
                 first = par_apply(f, a, 4000)
-                assert isinstance(first, ParDone), (name, a)
+                assert isinstance(first, Done), (name, a)
                 back = par_apply(g, first.value, 200000)
-                assert isinstance(back, ParDone), (name, a)
+                assert isinstance(back, Done), (name, a)
                 again = par_apply(f, back.value, 4000)
                 assert again == first, (name, a)
                 checked += 1
@@ -280,7 +277,7 @@ class TestMinimization:
                         break
                 got = mu_search(phi, N(a), budget)
                 if brute is None:
-                    assert got == ParFuel(budget)
+                    assert got == FuelExhausted(())
                     never_seen += 1
                 else:
                     assert got == brute
@@ -327,7 +324,7 @@ class TestIterationInstances:
             arg = PairV(N(a), N(b))
             got = par_apply(f, arg, fuel)
             assert got == plain(par_apply, f, arg, fuel), (a, b, fuel)
-        assert got == ParFuel(20)
+        assert got == FuelExhausted(())
 
     def test_gcd_instance_file_is_the_built_tree(self):
         inst, built = load_cci((CORPUS / "gcd.cci").read_text()), gcd_cci()
@@ -346,7 +343,7 @@ class TestIterationInstances:
         stuck = nat_const(encode_ord((1,)), NAT)
         inst = CCIInstance(NAT, stuck, Id(NAT))
         got = cci_run(inst, N(4), 50)
-        assert isinstance(got, DescViolation)
+        assert isinstance(got, DescentViolation)
         assert got.step == 0
 
 

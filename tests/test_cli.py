@@ -171,6 +171,43 @@ class TestCCI:
         assert code == 2
         assert "requires" in err
 
+    def test_audit_is_the_recorded_one(self):
+        code, out, _ = run_cli(["cci", "--term", term_path("gcd.cci"),
+                                "--audit", "40", "--seed", "0",
+                                "--format", "records"])
+        recorded = ROOT / "tests" / "data" / "cci_gcd_audit40_seed0_records.txt"
+        assert (code, out) == (0, recorded.read_text())
+
+    # an identity step under the positive constant complexity (1), and a
+    # successor step under the zero complexity
+    DESC = ("(cci N (comp succ (comp succ (comp succ (comp succ "
+            "(comp (zero N) (bang N)))))) (id N))")
+    STAT = "(cci N (comp (zero N) (bang N)) succ)"
+
+    @pytest.mark.parametrize("fmt, want", [
+        ("text", "fuel exhausted at step 3\n"),
+        ("records", "outcome=FuelExhausted\nstep=3\n"),
+    ], ids=["text", "records"])
+    def test_fuel_exhaustion(self, fmt, want):
+        code, out, _ = run_cli(["cci", "--term", term_path("gcd.cci"),
+                                "--arg", print_value(gcd_state(12, 18)),
+                                "--fuel", "3", "--format", fmt])
+        assert (code, out) == (1, want)
+
+    @pytest.mark.parametrize("src, fmt, want", [
+        (DESC, "text", "descent violation at step=0 before=[1] after=[1]\n"),
+        (DESC, "records",
+         "outcome=DescentViolation\nstep=0 before=[1] after=[1]\n"),
+        (STAT, "text", "stationarity violation at step 0\n"),
+        (STAT, "records", "outcome=StatViolation\nstep=0\n"),
+    ], ids=["desc-text", "desc-records", "stat-text", "stat-records"])
+    def test_premise_violations(self, tmp_path, src, fmt, want):
+        p = tmp_path / "bad.cci"
+        p.write_text(src + "\n")
+        code, out, _ = run_cli(["cci", "--term", str(p), "--arg", "4",
+                                "--format", fmt])
+        assert (code, out) == (1, want)
+
 
 class TestChoice:
     def test_structural_witness_and_law(self):
@@ -322,6 +359,28 @@ class TestUsageErrors:
         p.write_text("(comp succ\n")
         code, _, err = run_cli(["check", "--term", str(p)])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, msg", [
+        (["cci", "--term", term_path("gcd.cci"), "--audit", "-2"],
+         "--audit must be non-negative, got -2"),
+        (["choice", "--term", term_path("succ.pr"), "--audit", "-1"],
+         "--audit must be non-negative, got -1"),
+        (["mu", "--term", term_path("succ.pr"), "--arg", "0", "--fuel", "-1"],
+         "--fuel must be non-negative, got -1"),
+    ], ids=["cci-audit", "choice-audit", "mu-fuel"])
+    def test_negative_counts(self, argv, msg):
+        assert run_cli(argv) == (2, "", f"usage error: {msg}\n")
+
+    @pytest.mark.parametrize("opt", ["samples=abc", "samples=-3", "cap=x",
+                                     "cap=-1"])
+    def test_bad_corpus_sampling_value(self, tmp_path, opt):
+        (tmp_path / "succ.pr").write_text((CORPUS / "succ.pr").read_text())
+        listing = tmp_path / "one.txt"
+        listing.write_text(f"succ.pr {opt}\n")
+        key, _, val = opt.partition("=")
+        assert run_cli(["corpus", "--term", str(listing)]) == (
+            2, "", f"usage error: {key}= needs a non-negative integer, "
+                   f"got {val!r}\n")
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

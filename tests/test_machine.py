@@ -408,3 +408,25 @@ class TestObjectivity:
         report = objectivity_check(Iter(Succ()), [nat2(0, 10 ** 5)], 50)
         assert not report.ok
         assert report.fuel_exhaustions
+
+    def test_entries_carry_the_outcome_and_the_steps(self):
+        # steps counts the top-level steps fired, the failing one included,
+        # as the trace has one record per fired step
+        cases = [(add, nat2(2, 3), 1000), (add, nat2(0, 0), 1000),
+                 (Iter(Succ()), nat2(0, 10 ** 5), 50)]
+        for t, arg, fuel in cases:
+            (entry,) = objectivity_check(t, [arg], fuel).entries
+            records, out = trace(t, arg, fuel)
+            assert entry.outcome == out
+            assert entry.steps == len(records)
+        assert isinstance(entry.outcome, FuelExhausted)
+
+    def test_descent_violation_is_a_mismatch(self, monkeypatch):
+        # with every code priced at zero, an iteration's first unfolding
+        # does not descend
+        monkeypatch.setattr(machine, "complexity", lambda c: ())
+        (entry,) = objectivity_check(add, [nat2(2, 3)], 1000).entries
+        assert entry.kind == "mismatch"
+        assert isinstance(entry.outcome, DescentViolation)
+        assert entry.outcome.step == 0
+        assert entry.steps == 1

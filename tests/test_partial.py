@@ -9,7 +9,7 @@ from prcalc.coding import cont_raw, encode_ord
 from prcalc.partial import (
     CCIDone,
     CCIInstance,
-    DescViolation,
+    DescentViolation,
     Done,
     FuelExhausted,
     StatViolation,
@@ -110,7 +110,7 @@ class TestMuSearch:
             assert mu_search(phi, N(a), 10) == 3
 
     def test_never_true(self):
-        assert mu_search(NEVER, N(4), 10) == FuelExhausted(10)
+        assert mu_search(NEVER, N(4), 10) == FuelExhausted(())
 
     def test_equality_witness_is_argument(self):
         phi = Comp(EqNat(), Pair(ARG, IDX))
@@ -152,14 +152,14 @@ class TestParApply:
 
     def test_empty_domain(self):
         f = make_partial(NAT, NAT, NEVER, IDX)
-        assert par_apply(f, N(5), 40) == FuelExhausted(40)
+        assert par_apply(f, N(5), 40) == FuelExhausted(())
 
     def test_half_defined_on_evens_only(self):
         h = half_partial()
         for b in range(0, 21, 2):
             assert par_apply(h, N(b), 40) == Done(N(b // 2))
         for b in range(1, 20, 2):
-            assert par_apply(h, N(b), 40) == FuelExhausted(40)
+            assert par_apply(h, N(b), 40) == FuelExhausted(())
 
     def test_gcd_partial_example(self):
         assert par_apply(gcd_partial(), _pp(12, 18), 40) == Done(N(6))
@@ -185,17 +185,17 @@ class TestParCompose:
         for b in range(0, 15, 2):
             assert par_apply(comp, N(b), 60) == par_apply(h, N(b), 60)
         for b in (1, 7, 13):
-            assert par_apply(comp, N(b), 25) == FuelExhausted(25)
+            assert par_apply(comp, N(b), 25) == FuelExhausted(())
 
     def test_first_stage_undefined(self):
         f = make_partial(NAT, NAT, NEVER, IDX)
         comp = par_compose(total_as_partial(Succ()), f)
-        assert par_apply(comp, N(3), 60) == FuelExhausted(60)
+        assert par_apply(comp, N(3), 60) == FuelExhausted(())
 
     def test_partial_after_partial(self):
         quarter = par_compose(half_partial(), half_partial())
         assert par_apply(quarter, N(16), 150) == Done(N(4))
-        assert par_apply(quarter, N(6), 150) == FuelExhausted(150)
+        assert par_apply(quarter, N(6), 150) == FuelExhausted(())
 
     def test_stage_mismatch_rejected(self):
         with pytest.raises(TypeMismatch):
@@ -209,7 +209,7 @@ class TestMiddleInversePartial:
 
     def test_outside_image_undefined(self):
         g = middle_inverse_partial(total_as_partial(Succ()))
-        assert par_apply(g, N(0), 80) == FuelExhausted(80)
+        assert par_apply(g, N(0), 80) == FuelExhausted(())
 
     def test_law_stagewise(self):
         # f . g . f agrees with f wherever f is defined
@@ -370,14 +370,14 @@ class TestCCIRun:
         c = Comp(cantor_pair, Pair(one_n, Comp(Succ(), Id(NAT))))
         inst = CCIInstance(NAT, c, Id(NAT))
         got = cci_run(inst, N(5), 10)
-        assert isinstance(got, DescViolation)
+        assert isinstance(got, DescentViolation)
         assert got.step == 0
         assert got.before == got.after == (6,)
 
     def test_moving_at_zero_violates_stationarity(self):
         inst = CCIInstance(NAT, zero_n, Succ())
         got = cci_run(inst, N(4), 10)
-        assert got == StatViolation(state=N(4), moved=N(5))
+        assert got == StatViolation(0)
 
     def test_malformed_complexity_code(self):
         inst = CCIInstance(NAT, one_n, Succ())
@@ -385,7 +385,20 @@ class TestCCIRun:
             cci_run(inst, N(0), 5)
 
     def test_fuel_exhaustion(self):
-        assert cci_run(gcd_cci(), gcd_state(12, 18), 3) == FuelExhausted(3)
+        # the tail holds (step, measure after it); the budget 14 ticks down
+        got = cci_run(gcd_cci(), gcd_state(12, 18), 3)
+        assert got == FuelExhausted(((0, (13,)), (1, (12,)), (2, (11,))))
+
+    def test_fuel_tail_is_the_last_ten_recomputed_measures(self):
+        from prcalc.coding import decode_ord
+        for inst, start, fuel in ((gcd_cci(), gcd_state(9999, 7777), 25),
+                                  (gcd_subtractive_cci(), _pp(12, 18), 4)):
+            got = cci_run(inst, start, fuel)
+            state, want = start, []
+            for i in range(fuel):
+                state = eval_structural(inst.p, state)
+                want.append((i, decode_ord(eval_structural(inst.c, state).n)))
+            assert got == FuelExhausted(tuple(want[-10:]))
 
     def test_subtractive_example(self):
         inst = gcd_subtractive_cci()
@@ -404,6 +417,17 @@ class TestCCIRun:
         bad = audit_cci(bad_inst, [N(0), N(3)], 10)
         assert not bad.ok
         assert {e.outcome for e in bad.entries} == {"stat"}
+
+
+class TestOneVocabulary:
+    def test_runners_return_the_machine_outcome_classes(self):
+        # the benchmark imports CCIDone, Done and FuelExhausted from here
+        import prcalc.machine as machine
+        import prcalc.partial as partial
+        for name in ("Done", "FuelExhausted", "DescentViolation",
+                     "StatViolation"):
+            assert getattr(partial, name) is getattr(machine, name)
+        assert partial.CCIDone.__module__ == "prcalc.partial"
 
 
 class TestDMinus:
@@ -442,7 +466,7 @@ class TestDefineByExists:
         assert define_by_exists(phi, N(4), 20) == Done(N(5))
 
     def test_never_true(self):
-        assert define_by_exists(NEVER, N(0), 25) == FuelExhausted(25)
+        assert define_by_exists(NEVER, N(0), 25) == FuelExhausted(())
 
     def test_minimality_by_rescan(self):
         # first b with a <= b is a itself; everything earlier fails
