@@ -203,7 +203,7 @@ def _cmd_cci(a) -> int:
             lines += [f"value={print_value(got.value)}", f"index={got.index}"]
         else:
             lines.append(f"({print_value(got.value)}, {got.index})")
-    if a.audit:
+    if a.audit is not None:
         rng = random.Random(f"{a.seed}:cci")
         args = [random_value(rng, inst.space) for _ in range(a.audit)]
         report = audit_cci(inst, args, a.fuel)
@@ -212,7 +212,7 @@ def _cmd_cci(a) -> int:
                          f"outcome={e.outcome} index={e.index}")
         lines.append(f"audit_ok={report.ok}")
         code = code or (0 if report.ok else 1)
-    if a.arg is None and not a.audit:
+    if a.arg is None and a.audit is None:
         raise _Usage("cci requires --arg or --audit")
     _emit(lines, a.trace_path)
     return code
@@ -231,7 +231,7 @@ def _cmd_choice(a) -> int:
         return 0
     w = structural_middle_inverse(f)
     fgf = Comp(f, Comp(w, f))
-    n = a.audit or DEFAULT_LAW_SAMPLES
+    n = DEFAULT_LAW_SAMPLES if a.audit is None else a.audit
     rng = random.Random(f"{a.seed}:choice")
     passes = 0
     for _ in range(n):

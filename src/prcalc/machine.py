@@ -87,6 +87,13 @@ def complexity(c: Term) -> Ord:
     return ()
 
 
+@node_fact("_ac")
+def apply_cost(c: Term) -> Ord:
+    """The cost of an application frame of c, kept on the node: the
+    complexity plus the unit every frame costs (see `frame_cost`)."""
+    return ord_nat_sum(complexity(c), _ONE)
+
+
 # ---------------------------------------------------------------------------
 # frames
 
@@ -136,11 +143,12 @@ def frame_cost(fr: Frame) -> Ord:
     k-scaled pending frame it unfolds into; a pending frame sheds exactly
     one unit per unfolding; the reflected operators pop a flat cost of two.
     Each margin compares only the popped frame with the frames pushed in
-    its place, which is all the step loop checks (see `_checked_step`).
+    its place, which is all the step loop checks (see `_drive`).  An
+    application frame's cost is `apply_cost`, kept on the code node.
     """
     t = type(fr)
     if t is Apply:
-        return ord_nat_sum(complexity(fr.code), _ONE)
+        return apply_cost(fr.code)
     if t is PairLeft:
         return ord_nat_sum(complexity(fr.g), (3,))
     if t is PairRight:
@@ -184,11 +192,15 @@ class Config:
     object the value inhabits.
 
     `costs[i]` is `frame_cost(frames[i])`, paid once when the frame is
-    pushed.  The total complexity is the natural sum of `costs`.  The
-    natural sum is a coefficientwise sum, hence cancellative, so a running
-    total can be kept by adding a cost on push and subtracting it on pop;
-    that total (`_acc`) is only built on the first `ord()` call, because
-    the step loop never needs it: the descent check is local.
+    pushed; an application frame reads its cost from the code node
+    (`apply_cost`).  The total complexity is the natural sum of `costs`.
+    The natural sum is a coefficientwise sum, hence cancellative, so a
+    running total can be kept by adding a cost on push and subtracting it
+    on pop.  That total (`_acc`) is built on the first `ord()` call and
+    kept from then on, for callers that read the measure at every step
+    (`trace`, `diagonal.run_liar`).  The step loop itself never builds
+    it: its descent check is local, and a run that exhausts its fuel
+    rebuilds its last measures from the final stack (`_tail_measures`).
     """
 
     __slots__ = ("frames", "costs", "current", "value_obj", "_acc")
@@ -209,8 +221,9 @@ class Config:
     def halted(self) -> bool:
         return not self.frames
 
-    def _push(self, fr: Frame) -> None:
-        cost = frame_cost(fr)
+    def _push(self, fr: Frame, cost: Optional[Ord] = None) -> None:
+        if cost is None:
+            cost = frame_cost(fr)
         self.frames.append(fr)
         self.costs.append(cost)
         if self._acc is not None:
@@ -241,6 +254,7 @@ def config_complexity(cfg: Config) -> Ord:
 class _OutOfFuel(Exception):
     def __init__(self, nested: bool):
         self.nested = nested
+        self.tail: Tuple[Tuple[int, Ord], ...] = ()  # filled in by `_drive`
 
 
 class _DescentErr(Exception):
@@ -394,7 +408,7 @@ def _fire(cfg: Config, tank: FuelTank):
         cfg._pop()
         g_dom, g_cod = typecheck(top.g)
         cfg._push(PairRight(cfg.current, top.left_cod, g_cod))
-        cfg._push(Apply(top.g))
+        cfg._push(Apply(top.g), apply_cost(top.g))
         cfg.current = top.saved
         cfg.value_obj = g_dom
     elif t is PairRight:
@@ -405,7 +419,7 @@ def _fire(cfg: Config, tank: FuelTank):
         cfg._pop()
         if top.remaining > 0:
             cfg._push(IterPending(top.g, top.remaining - 1))
-            cfg._push(Apply(top.g))
+            cfg._push(Apply(top.g), apply_cost(top.g))
     elif t is RestrictCheck:
         ab = top.ab
         if eval_structural(ab.chi, cfg.current) != NatV(1):
@@ -424,13 +438,13 @@ def _apply(cfg: Config, u: Term, tank: FuelTank):
         cfg.value_obj = typecheck(u)[1]
     elif t is Comp:
         cfg._pop()
-        cfg._push(Apply(u.g))
-        cfg._push(Apply(u.f))
+        cfg._push(Apply(u.g), apply_cost(u.g))
+        cfg._push(Apply(u.f), apply_cost(u.f))
     elif t is Pair:
         cfg._pop()
         _, f_cod = typecheck(u.f)
         cfg._push(PairLeft(u.g, cfg.current, f_cod))
-        cfg._push(Apply(u.f))
+        cfg._push(Apply(u.f), apply_cost(u.f))
     elif t is Cyl:
         cur = cfg.current
         if not isinstance(cur, PairV):
@@ -438,7 +452,7 @@ def _apply(cfg: Config, u: Term, tank: FuelTank):
         cfg._pop()
         g_dom, g_cod = typecheck(u.g)
         cfg._push(PairRight(cur.left, u.c, g_cod))
-        cfg._push(Apply(u.g))
+        cfg._push(Apply(u.g), apply_cost(u.g))
         cfg.current = cur.right
         cfg.value_obj = g_dom
     elif t is Iter:
@@ -452,7 +466,7 @@ def _apply(cfg: Config, u: Term, tank: FuelTank):
     elif t is Restrict:
         cfg._pop()
         cfg._push(RestrictCheck(u.ab))
-        cfg._push(Apply(u.f))
+        cfg._push(Apply(u.f), apply_cost(u.f))
     elif t is DMinus:
         cfg._pop()
         return _dminus(cfg, u)
@@ -556,8 +570,20 @@ def step(cfg: Config, tank: Optional[FuelTank] = None) -> Config:
 # ---------------------------------------------------------------------------
 # the run loop
 
+def _tail_measures(ring, total: List[int]) -> Tuple[Tuple[int, Ord], ...]:
+    """The (index, measure after the step) entries of the ring's steps.
+    total is the raw measure after the newest step; each step is undone
+    going backwards: its pushed costs come off, its popped cost goes back."""
+    out = []
+    for idx, popped, pushed in reversed(ring):
+        out.append((idx, _trim(total)))
+        _acc_sub(total, pushed)
+        _acc_add(total, popped)
+    return tuple(reversed(out))
+
+
 def _drive(cfg: Config, tank: FuelTank, idx: int = 0, stop: int = -1,
-           gen=None, tail: Optional[deque] = None,
+           gen=None, tail: bool = False,
            on_record: Optional[Callable[[int, Config], None]] = None,
            ) -> Value:
     """The one machine loop: steps cfg and every nested run on an explicit
@@ -566,21 +592,23 @@ def _drive(cfg: Config, tank: FuelTank, idx: int = 0, stop: int = -1,
     up to index stop.  A transition that returns a generator suspends its
     job; each request starts a job one reflected level deeper (tank.depth)
     whose result resumes the generator, and the step then finishes with
-    its descent check.  Only the root job feeds on_record and tail (index,
-    raw running total).  A root given gen is a bare fire (`step`).
+    its descent check.  Only the root job feeds on_record and, with tail,
+    a ring of its last ten steps as (index, popped cost, pushed sum); when
+    fuel runs out the ring becomes the `_OutOfFuel` tail of (index,
+    measure after the step).  A root given gen is a bare fire (`step`).
 
     Every transition pops exactly the top frame and pushes zero to two
     frames on top of the rest of the stack.  The natural sum is
     cancellative and strictly monotone, so with R the untouched rest,
     P the popped cost and Q the pushed costs, R + sum(Q) < R + P holds
     exactly when sum(Q) < P: comparing those two is the whole descent
-    check.  The full before/after measures are built only to report a
-    violation.
+    check.  No running total is kept: the full before/after measures are
+    built only to report a violation, and the tail's measures only when
+    fuel runs out.
     """
     jobs: list = []  # suspended (cfg, idx, stop, gen, n, popped, rec, tl)
-    depth0, rec, tl = tank.depth, on_record, tail
-    if tl is not None:
-        cfg.ord()  # builds the running total the tail snapshots
+    depth0, rec = tank.depth, on_record
+    ring = tl = deque(maxlen=10) if tail else None
     sent = n = popped = None
     try:
         while True:
@@ -625,16 +653,27 @@ def _drive(cfg: Config, tank: FuelTank, idx: int = 0, stop: int = -1,
                 cfg, idx, stop, gen, n, popped, rec, tl = jobs.pop()
                 tank.depth -= 1
                 continue
+            # every transition pushes zero, one or two frames
             costs = cfg.costs
-            pushed: Ord = ()
-            for c in costs[n:]:
-                pushed = ord_nat_sum(pushed, c)
+            k = len(costs) - n
+            if k == 2:
+                pushed = ord_nat_sum(costs[n], costs[n + 1])
+            else:
+                pushed = costs[n] if k else ()
             if ord_cmp(pushed, popped) != LESS:
                 before = _trim(_raw_sum(costs[:n] + [popped]))
                 raise _DescentErr(idx, before, _trim(_raw_sum(costs)))
             if tl is not None:
-                tl.append((idx, tuple(cfg._acc)))
+                tl.append((idx, popped, pushed))
             idx += 1
+    except _OutOfFuel as e:
+        if ring is not None:
+            # the root's stack before its unfinished step, which may have
+            # popped its frame already (a dminus or an edot miss in flight)
+            if jobs:
+                cfg, n, popped = jobs[0][0], jobs[0][4], jobs[0][5]
+            e.tail = _tail_measures(ring, _raw_sum(cfg.costs[:n] + [popped]))
+        raise
     finally:
         tank.depth = depth0
 
@@ -696,12 +735,11 @@ def eval_iterative(u: Term, v: Value, fuel: int = DEFAULT_FUEL,
     """Run the machine from ([Apply(u)], v) until complexity zero."""
     cfg = _launch(u, v)
     tank = FuelTank(fuel)
-    tail: deque = deque(maxlen=10)
     try:
-        result = _drive(cfg, tank, tail=tail, on_record=on_record)
+        result = _drive(cfg, tank, tail=True, on_record=on_record)
     except _OutOfFuel as e:
         kind = NestedFuelExhausted if e.nested else FuelExhausted
-        return kind(tuple((i, _trim(acc)) for i, acc in tail))
+        return kind(e.tail)
     except _DescentErr as e:
         return DescentViolation(e.step, e.before, e.after)
     except _StatErr as e:

@@ -167,9 +167,9 @@ UNITV = UnitV()
 
 class _Term(_Node):
     # facts of the node, each computed once: _ty typecheck, _cx
-    # machine.complexity, _rank coding.rank_code as (dom, cod, rank),
-    # _num coding.num, _cv coding.contains_constval
-    __slots__ = ("_ty", "_cx", "_rank", "_num", "_cv")
+    # machine.complexity, _ac machine.apply_cost, _rank coding.rank_code
+    # as (dom, cod, rank), _num coding.num, _cv coding.contains_constval
+    __slots__ = ("_ty", "_cx", "_ac", "_rank", "_num", "_cv")
 
 
 class Id(_Term):

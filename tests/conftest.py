@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 
 from prcalc import machine, term
+from prcalc.ordinal import ord_nat_sum
 
 
 class _NoStore(dict):
@@ -42,3 +43,17 @@ def plain():
         with _off():
             return fn(*args)
     return run
+
+
+@pytest.fixture
+def misprice(monkeypatch):
+    """misprice(price) makes the machine price every code c at price(c):
+    its complexity, and the cost of an application frame of c, price(c)
+    plus one.  Both functions are patched whole rather than through the
+    facts kept on the nodes, so no mispriced cost is stored on a shared
+    node."""
+    def set_price(price):
+        monkeypatch.setattr(machine, "complexity", price)
+        monkeypatch.setattr(machine, "apply_cost",
+                            lambda c: ord_nat_sum(price(c), (1,)))
+    return set_price

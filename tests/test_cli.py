@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-import prcalc.machine as machine
 from prcalc import term
 from prcalc.cli import main
+from prcalc.machine import apply_cost
 from prcalc.partial import gcd_state
-from prcalc.surface import parse_term, print_value
-from prcalc.term import NatV, PairV
+from prcalc.surface import parse_term, print_term, print_value
+from prcalc.term import NAT, Comp, Id, NatV, PairV
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -166,6 +166,11 @@ class TestCCI:
         assert code == 0
         assert out.rstrip().endswith("audit_ok=True")
 
+    def test_audit_zero_checks_no_samples(self):
+        code, out, _ = run_cli(["cci", "--term", term_path("gcd.cci"),
+                                "--audit", "0"])
+        assert (code, out) == (0, "audit_ok=True\n")
+
     def test_requires_arg_or_audit(self):
         code, _, err = run_cli(["cci", "--term", term_path("gcd.cci")])
         assert code == 2
@@ -216,6 +221,12 @@ class TestChoice:
         witness, law = out.splitlines()
         assert parse_term(witness) is not None
         assert law == "law 200/200"
+
+    def test_audit_zero_checks_no_samples(self):
+        code, out, _ = run_cli(["choice", "--term", term_path("succ.pr"),
+                                "--audit", "0"])
+        assert code == 0
+        assert out.splitlines()[1] == "law 0/0"
 
     def test_search_inverse_at_point(self):
         code, out, _ = run_cli(["choice", "--term", term_path("succ.pr"),
@@ -295,18 +306,37 @@ class TestCorpus:
         assert "summary: " + " ".join(summary) in (ROOT / "README.md").read_text()
 
     def test_machine_descent_violations_are_counted(self, tmp_path,
-                                                    monkeypatch):
+                                                    misprice):
         # with every code priced at zero, each run's first step (an
         # iteration unfolding into a pending frame) fails to descend
         (tmp_path / "add.pr").write_text((CORPUS / "add.pr").read_text())
         listing = tmp_path / "one.txt"
         listing.write_text("add.pr samples=7\n")
-        monkeypatch.setattr(machine, "complexity", lambda c: ())
+        misprice(lambda c: ())
         code, out, _ = run_cli(["corpus", "--term", str(listing),
                                 "--format", "records"])
         assert code == 1
         assert "descent_violations=7\n" in out
         assert out.endswith("ok=False\n")
+
+    def test_mispriced_sweep_stores_only_real_costs(self, tmp_path, misprice,
+                                                    monkeypatch):
+        # a chain of 29 identities is a term no other test builds, so the
+        # sweep is the first to ask for its cost
+        chain = Id(NAT)
+        for _ in range(28):
+            chain = Comp(Id(NAT), chain)
+        (tmp_path / "chain.pr").write_text(print_term(chain) + "\n")
+        listing = tmp_path / "one.txt"
+        listing.write_text("chain.pr samples=3\n")
+        misprice(lambda c: ())
+        code, out, _ = run_cli(["corpus", "--term", str(listing),
+                                "--format", "records"])
+        assert code == 1
+        assert "descent_violations=3\n" in out
+        monkeypatch.undo()
+        # 28 compositions at two each, plus the frame's unit
+        assert apply_cost(chain) == (57,)
 
 
 @pytest.fixture

@@ -15,13 +15,13 @@ from prcalc.machine import (
     encode_config, encode_value, eval_iterative, frame_cost,
     objectivity_check, sd_pair, sd_unpair, step, trace,
 )
-from prcalc.ordinal import descent_check, ord_cmp
+from prcalc.ordinal import descent_check, ord_brackets, ord_cmp, ord_nat_sum
 from prcalc.surface import parse_term
 from prcalc.term import (
     Bang, CDot, Comp, ConstVal, DMinus, EDot, EvalError, HashC, Id, Iter,
     NAT, NN, NatV, Pair, PairV, Prod, ProjL, ProjR, Restrict, Succ, TWO,
-    TypeMismatch, UNIT, UNITV, ZeroC, add, eval_structural, lt2, mul, pred,
-    typecheck,
+    Term, TypeMismatch, UNIT, UNITV, ZeroC, add, eval_structural, lt2, mul,
+    pred, typecheck,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -178,12 +178,11 @@ class TestEvalIterative:
         assert count == len(records)
         assert cfg.current == out.value
 
-    def test_descent_violation_detected(self, monkeypatch):
+    def test_descent_violation_detected(self, misprice):
         # the pair misprices only its inner composition, so descent breaks
         # at step 1 with a PairLeft frame left below the broken step
         paired = Pair(Comp(Succ(), Succ()), Succ())
-        monkeypatch.setattr(machine, "complexity",
-                            lambda c: (9,) if c is paired else ())
+        misprice(lambda c: (9,) if c is paired else ())
         for t, broken_at in ((Comp(Succ(), Succ()), 0), (paired, 1)):
             out = eval_iterative(t, N(0), 100)
             assert isinstance(out, DescentViolation)
@@ -196,6 +195,30 @@ class TestEvalIterative:
             assert config_complexity(cfg) == out.before
             step(cfg, tank)
             assert config_complexity(cfg) == out.after
+
+    def test_mispriced_runs_store_only_real_costs(self, misprice,
+                                                  monkeypatch):
+        # a chain of 23 successors is a term no other test builds, so the
+        # mispriced runs are the first to ask for its longer links' costs
+        chain = Succ()
+        for _ in range(22):
+            chain = Comp(Succ(), chain)
+        paired = Pair(chain, Succ())
+        misprice(lambda c: (9,) if c is paired else ())
+        assert isinstance(eval_iterative(paired, N(0), 100), DescentViolation)
+        (entry,) = objectivity_check(chain, [N(0)], 100).entries
+        assert isinstance(entry.outcome, DescentViolation)
+        monkeypatch.undo()
+        nodes, todo = [], [paired]
+        while todo:
+            c = todo.pop()
+            nodes.append(c)
+            todo += [k for k in (getattr(c, f) for f in c._fields)
+                     if isinstance(k, Term)]
+        for c in nodes:
+            assert machine.apply_cost(c) == ord_nat_sum(complexity(c), (1,))
+        # 22 compositions at two each, and the pair's four
+        assert machine.apply_cost(paired) == (49,)
 
 
 class TestDescent:
@@ -421,12 +444,83 @@ class TestObjectivity:
             assert entry.steps == len(records)
         assert isinstance(entry.outcome, FuelExhausted)
 
-    def test_descent_violation_is_a_mismatch(self, monkeypatch):
+    def test_descent_violation_is_a_mismatch(self, misprice):
         # with every code priced at zero, an iteration's first unfolding
         # does not descend
-        monkeypatch.setattr(machine, "complexity", lambda c: ())
+        misprice(lambda c: ())
         (entry,) = objectivity_check(add, [nat2(2, 3)], 1000).entries
         assert entry.kind == "mismatch"
         assert isinstance(entry.outcome, DescentViolation)
         assert entry.outcome.step == 0
         assert entry.steps == 1
+
+
+def _measures(records):
+    # trace's complexity column: entry i is the measure before step i,
+    # that is, after step i - 1
+    return [r.split(" complexity=")[1].split(" value=")[0] for r in records]
+
+
+def _top_frame(record):
+    return record.split(" frames=")[1].split(" complexity=")[0].split("|")[-1]
+
+
+class TestTail:
+    """The fuel-exhaustion tail is rebuilt from the final stack: each entry
+    (i, m) is the measure after top-level step i, the last ten steps that
+    finished."""
+
+    def check_tail(self, t, v, fuel, kind):
+        out = eval_iterative(t, v, fuel)
+        records, traced = trace(t, v, fuel)
+        assert type(out) is kind and traced == out
+        done = len(records) - 1  # the last record's step never finished
+        assert [i for i, _ in out.tail] == list(range(max(0, done - 10),
+                                                      done))
+        cols = _measures(records)
+        for i, m in out.tail:
+            assert ord_brackets(m) == cols[i + 1]
+        return records
+
+    def test_corpus_terms_at_several_fuels(self):
+        rng = random.Random(8)
+        for name in ("add.pr", "cyl_pred.pr", "pair_track.pr",
+                     "restrict3.pr", "shrink_decay.pr", "tri_loop.pr"):
+            t = parse_term((CORPUS / name).read_text())
+            v = random_value(rng, typecheck(t)[0], 6)
+            records, out = trace(t, v)
+            assert isinstance(out, Done)
+            steps = len(records)
+            for fuel in sorted({0, 1, 2, 9, 10, 11, 37, steps // 2,
+                                steps - 1}):
+                if fuel < steps:
+                    self.check_tail(t, v, fuel, FuelExhausted)
+
+    def test_dminus_in_flight(self):
+        # steps 0 and 1 unfold and take the successor; step 2 is the
+        # descent search, whose nested runs exhaust the fuel
+        t = Comp(DMinus(Id(NAT), pred), Succ())
+        for fuel in (3, 10, 40):
+            records = self.check_tail(t, N(3), fuel, NestedFuelExhausted)
+            assert len(records) == 3
+            assert _top_frame(records[-1]).startswith("Apply:(dminus ")
+
+    def test_edot_miss_in_flight(self, caches_off):
+        # the reflected step of a config whose own step is a descent search
+        # runs nested jobs; the edot step is the root's fifth
+        sub = P(N(num(quote(DMinus(Id(NAT), pred)))), N(3))
+        t = Comp(EDot(), Comp(Id(NN), Id(NN)))
+        for fuel in (5, 6, 30):
+            records = self.check_tail(t, sub, fuel, NestedFuelExhausted)
+            assert len(records) == 5
+            assert _top_frame(records[-1]) == "Apply:edot"
+
+    def test_no_running_total_without_on_record(self, monkeypatch):
+        def refuse(acc, o):
+            raise AssertionError("the step loop kept a running total")
+
+        monkeypatch.setattr(machine, "_acc_add", refuse)
+        assert eval_iterative(add, nat2(2, 3), 10 ** 4) == Done(N(5))
+        assert eval_iterative(POW, nat2(2, 3), 10 ** 5) == Done(N(8))
+        assert (eval_iterative(DMinus(Id(NAT), pred), N(3), 1000)
+                == Done(nat2(3, 3)))
