@@ -25,7 +25,7 @@ from .coding import IllTyped, NotAPredicateCode, num
 from .diagonal import liar_report_lines, run_liar
 from .gen import random_value
 from .machine import (
-    Apply, DescentViolation, Done, EvalFailure, FuelExhausted,
+    DEFAULT_FUEL, Apply, DescentViolation, Done, EvalFailure, FuelExhausted,
     NestedFuelExhausted, Outcome, StatViolation, eval_iterative, frame_cost,
     objectivity_check, trace,
 )
@@ -40,41 +40,31 @@ from .term import (
     Comp, EvalError, TypeMismatch, eval_structural, find_point, typecheck,
 )
 
-DEFAULT_FUEL = 10 ** 6
 DEFAULT_LAW_SAMPLES = 200
 
 __all__ = ["main"]
+
+# add_argument keywords for each flag; a subcommand takes only those it reads
+_FLAGS = {
+    "term": dict(metavar="PATH", help="term (or corpus) file"),
+    "arg": dict(metavar="V", help="value literal: naturals, () for unit, (v,w)"),
+    "mode": dict(choices=("structural", "iterative"), default="structural"),
+    "fuel": dict(type=int, default=DEFAULT_FUEL),
+    "audit": dict(type=int, metavar="N", help="number of sampled checks"),
+    "seed": dict(type=int, default=0),
+    "format": dict(choices=("text", "records"), default="text"),
+    "trace": dict(metavar="PATH", dest="trace_path",
+                  help="also write the output records to this file"),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="prcalc", description=__doc__)
     sub = top.add_subparsers(dest="subcommand", required=True)
-    names = {
-        "check": "print the domain and codomain of a term",
-        "eval": "evaluate a term at an argument",
-        "quote": "print a term's code and its number",
-        "run": "run the machine and emit the step trace",
-        "cci": "run or audit a complexity-controlled iteration",
-        "choice": "synthesize a middle inverse and check its law",
-        "mu": "minimize a predicate at an argument",
-        "liar": "evaluate the antidiagonal at its own index",
-        "corpus": "sweep a corpus file against the structural oracle",
-    }
-    for name, help_text in names.items():
+    for name, (_, help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--term", metavar="PATH", help="term (or corpus) file")
-        p.add_argument("--arg", metavar="V",
-                       help="value literal: naturals, () for unit, (v,w)")
-        p.add_argument("--mode", choices=("structural", "iterative"),
-                       default="structural")
-        p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-        p.add_argument("--trace", metavar="PATH", dest="trace_path",
-                       help="also write the output records to this file")
-        p.add_argument("--audit", type=int, metavar="N",
-                       help="number of sampled checks")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("text", "records"),
-                       default="text")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return top
 
 
@@ -344,16 +334,26 @@ def _cmd_corpus(a) -> int:
     return 0 if ok else 1
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "eval": _cmd_eval,
-    "quote": _cmd_quote,
-    "run": _cmd_run,
-    "cci": _cmd_cci,
-    "choice": _cmd_choice,
-    "mu": _cmd_mu,
-    "liar": _cmd_liar,
-    "corpus": _cmd_corpus,
+# each subcommand's handler, help text, and the flags the handler reads
+_SUBCOMMANDS = {
+    "check": (_cmd_check, "print the domain and codomain of a term",
+              "term format trace"),
+    "eval": (_cmd_eval, "evaluate a term at an argument",
+             "term arg mode fuel format trace"),
+    "quote": (_cmd_quote, "print a term's code and its number",
+              "term format trace"),
+    "run": (_cmd_run, "run the machine and emit the step trace",
+            "term arg fuel trace"),
+    "cci": (_cmd_cci, "run or audit a complexity-controlled iteration",
+            "term arg fuel audit seed format trace"),
+    "choice": (_cmd_choice, "synthesize a middle inverse and check its law",
+               "term arg fuel audit seed format trace"),
+    "mu": (_cmd_mu, "minimize a predicate at an argument",
+           "term arg fuel format trace"),
+    "liar": (_cmd_liar, "evaluate the antidiagonal at its own index",
+             "fuel trace"),
+    "corpus": (_cmd_corpus, "sweep a corpus file against the structural oracle",
+               "term fuel seed format trace"),
 }
 
 
@@ -361,10 +361,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         for flag in ("fuel", "audit"):
-            n = getattr(args, flag)
+            n = getattr(args, flag, None)
             if n is not None and n < 0:
                 raise _Usage(f"--{flag} must be non-negative, got {n}")
-        return _HANDLERS[args.subcommand](args)
+        return _SUBCOMMANDS[args.subcommand][0](args)
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

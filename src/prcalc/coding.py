@@ -7,12 +7,14 @@ from a fixed listing of the constructors available there.  num combines the
 two object ranks with the code's rank via Cantor pairing, so distinct codes
 get distinct numbers and the typing can be read back off the number.
 
-Two numberings coexist inside num.  Surface-grammar codes (everything
-except ConstVal) sit on even slots via the bijective rank.  ConstVal-bearing
-machine codes, the configuration chains the reflected evaluator builds, sit
-on odd slots via a self-delimiting structural code instead: a rank slot
-doubles in size with every constructor wrapped around a captured value,
-while the structural code stays linear in the bits it contains.  The
+Each kind of code has one numbering inside num.  Surface-grammar codes
+(everything except ConstVal) sit on even slots via the bijective rank.
+ConstVal-bearing machine codes, the configuration chains the reflected
+evaluator builds, have no rank: they sit on odd slots via a self-delimiting
+structural code.  A rank slot doubles in size with every constructor
+wrapped around a captured value, while the structural code stays linear in
+the bits it contains.  Values themselves are numbered only by that
+structural codec (encode_value) and by the canonical count (cont).  The
 predicate count # enumerates surface-grammar codes of type N -> Two, in
 rank order; num is strictly monotone along it.
 """
@@ -26,7 +28,7 @@ from .term import (
     FalseC, HashC, Id, Incl, Iter, NAT, NN, NotC, Obj, Pair, PairV, Prod,
     ProjL, ProjR, Restrict, Succ, TWO, Term, TrueC, TypeMismatch, UNIT,
     UNITV, Unit, Nat, NatV, UnitV, Value, ZeroC, eval_structural, lt2,
-    node_fact, typecheck, value_check, zero_value,
+    node_fact, typecheck, value_check,
 )
 # one integer Cantor pairing, shared with the structural evaluator's host
 # arithmetic for the cantor_pair and cantor_unpair terms
@@ -168,53 +170,7 @@ def cont(obj: Obj, a0: Value, n: int) -> Value:
 
 ### type-directed code ranking
 
-def _card_one(obj: Obj) -> bool:
-    # True when the carrier shape has exactly one value (no Nat anywhere)
-    if isinstance(obj, Unit):
-        return True
-    if isinstance(obj, Nat):
-        return False
-    if isinstance(obj, Prod):
-        return _card_one(obj.left) and _card_one(obj.right)
-    return _card_one(obj.carrier)
-
-
-def _val_rank(obj: Obj, v: Value) -> int:
-    if isinstance(obj, Nat):
-        return v.n
-    if isinstance(obj, Unit):
-        return 0
-    if isinstance(obj, Prod):
-        lone, rone = _card_one(obj.left), _card_one(obj.right)
-        if lone and rone:
-            return 0
-        if lone:
-            return _val_rank(obj.right, v.right)
-        if rone:
-            return _val_rank(obj.left, v.left)
-        return cantor_pair(_val_rank(obj.left, v.left), _val_rank(obj.right, v.right))
-    return _val_rank(obj.carrier, v)
-
-
-def _val_unrank(obj: Obj, n: int) -> Value:
-    if isinstance(obj, Nat):
-        return NatV(n)
-    if isinstance(obj, Unit):
-        return UNITV
-    if isinstance(obj, Prod):
-        lone, rone = _card_one(obj.left), _card_one(obj.right)
-        if lone and rone:
-            return zero_value(obj)
-        if lone:
-            return PairV(zero_value(obj.left), _val_unrank(obj.right, n))
-        if rone:
-            return PairV(_val_unrank(obj.left, n), zero_value(obj.right))
-        x, y = cantor_unpair(n)
-        return PairV(_val_unrank(obj.left, x), _val_unrank(obj.right, y))
-    return _val_unrank(obj.carrier, n)
-
-
-def _leaves(a: Obj, b: Obj, full: bool) -> List[Code]:
+def _leaves(a: Obj, b: Obj) -> List[Code]:
     """The finitely many childless codes at typing (a, b), in canonical order."""
     out: List[Code] = []
     if a == b:
@@ -244,15 +200,13 @@ def _leaves(a: Obj, b: Obj, full: bool) -> List[Code]:
         out.append(EDot())
     if a == NAT and b == NAT:
         out.append(HashC())
-    if full and a == UNIT and _card_one(b):
-        out.append(ConstVal(b, zero_value(b)))
     return out
 
 
-_F_COMP, _F_PAIR, _F_CYL, _F_ITER, _F_RESTRICT, _F_DMINUS, _F_CONSTVAL = range(7)
+_F_COMP, _F_PAIR, _F_CYL, _F_ITER, _F_RESTRICT, _F_DMINUS = range(6)
 
 
-def _families(a: Obj, b: Obj, full: bool) -> List[int]:
+def _families(a: Obj, b: Obj) -> List[int]:
     """The infinite constructor families available at typing (a, b)."""
     fams = [_F_COMP]
     if isinstance(b, Prod):
@@ -265,8 +219,6 @@ def _families(a: Obj, b: Obj, full: bool) -> List[int]:
         fams.append(_F_RESTRICT)
     if isinstance(b, Prod) and b.left == a and b.right == NAT:
         fams.append(_F_DMINUS)
-    if full and a == UNIT and not _card_one(b):
-        fams.append(_F_CONSTVAL)
     return fams
 
 
@@ -281,14 +233,14 @@ def memo_store(table: dict, key, value) -> None:
     table[key] = value
 
 
-def unrank_code(a: Obj, b: Obj, n: int, full: bool = False) -> Code:
+def unrank_code(a: Obj, b: Obj, n: int) -> Code:
     """The n-th code of typing (a, b): leaves first, then the families
     interleaved round-robin.  Total and bijective for every typing."""
-    leaves = _leaves(a, b, full)
+    leaves = _leaves(a, b)
     if n < len(leaves):
         c = leaves[n]
     else:
-        fams = _families(a, b, full)
+        fams = _families(a, b)
         rem = n - len(leaves)
         fam = fams[rem % len(fams)]
         i = rem // len(fams)
@@ -296,61 +248,57 @@ def unrank_code(a: Obj, b: Obj, n: int, full: bool = False) -> Code:
             mo, rest = cantor_unpair(i)
             mid = obj_unrank(mo)
             gi, fi = cantor_unpair(rest)
-            c = Comp(unrank_code(mid, b, gi, full), unrank_code(a, mid, fi, full))
+            c = Comp(unrank_code(mid, b, gi), unrank_code(a, mid, fi))
         elif fam == _F_PAIR:
             fi, gi = cantor_unpair(i)
-            c = Pair(unrank_code(a, b.left, fi, full), unrank_code(a, b.right, gi, full))
+            c = Pair(unrank_code(a, b.left, fi), unrank_code(a, b.right, gi))
         elif fam == _F_CYL:
-            c = Cyl(a.left, unrank_code(a.right, b.right, i, full))
+            c = Cyl(a.left, unrank_code(a.right, b.right, i))
         elif fam == _F_ITER:
-            c = Iter(unrank_code(b, b, i, full))
+            c = Iter(unrank_code(b, b, i))
         elif fam == _F_RESTRICT:
-            c = Restrict(unrank_code(a, b.carrier, i, full), b)
-        elif fam == _F_DMINUS:
-            ci, pi = cantor_unpair(i)
-            c = DMinus(unrank_code(a, NAT, ci, full), unrank_code(a, a, pi, full))
+            c = Restrict(unrank_code(a, b.carrier, i), b)
         else:
-            c = ConstVal(b, _val_unrank(b, i))
+            ci, pi = cantor_unpair(i)
+            c = DMinus(unrank_code(a, NAT, ci), unrank_code(a, a, pi))
     return c
 
 
-def rank_code(a: Obj, b: Obj, c: Code, full: bool = False) -> int:
-    """Inverse of unrank_code at the code's principal typing.  The surface
-    rank (full False) is kept on the code as (a, b, rank)."""
-    hit = None if full else getattr(c, "_rank", None)
+def rank_code(a: Obj, b: Obj, c: Code) -> int:
+    """Inverse of unrank_code at the code's principal typing, kept on the
+    code as (a, b, rank).  A ConstVal has no rank: it is not a leaf or a
+    family of any typing, so it raises IllTyped."""
+    hit = getattr(c, "_rank", None)
     if hit is not None and hit[0] is a and hit[1] is b:
         return hit[2]
-    leaves = _leaves(a, b, full)
+    leaves = _leaves(a, b)
     if c in leaves:
         n = leaves.index(c)
     else:
-        fams = _families(a, b, full)
+        fams = _families(a, b)
         if isinstance(c, Comp):
             mid = typecheck(c.f)[1]
             fam, i = _F_COMP, cantor_pair(
                 obj_rank(mid),
-                cantor_pair(rank_code(mid, b, c.g, full), rank_code(a, mid, c.f, full)))
+                cantor_pair(rank_code(mid, b, c.g), rank_code(a, mid, c.f)))
         elif isinstance(c, Pair):
             fam, i = _F_PAIR, cantor_pair(
-                rank_code(a, b.left, c.f, full), rank_code(a, b.right, c.g, full))
+                rank_code(a, b.left, c.f), rank_code(a, b.right, c.g))
         elif isinstance(c, Cyl):
-            fam, i = _F_CYL, rank_code(a.right, b.right, c.g, full)
+            fam, i = _F_CYL, rank_code(a.right, b.right, c.g)
         elif isinstance(c, Iter):
-            fam, i = _F_ITER, rank_code(b, b, c.g, full)
+            fam, i = _F_ITER, rank_code(b, b, c.g)
         elif isinstance(c, Restrict):
-            fam, i = _F_RESTRICT, rank_code(a, b.carrier, c.f, full)
+            fam, i = _F_RESTRICT, rank_code(a, b.carrier, c.f)
         elif isinstance(c, DMinus):
             fam, i = _F_DMINUS, cantor_pair(
-                rank_code(a, NAT, c.c, full), rank_code(a, a, c.p, full))
-        elif isinstance(c, ConstVal):
-            fam, i = _F_CONSTVAL, _val_rank(b, c.value)
+                rank_code(a, NAT, c.c), rank_code(a, a, c.p))
         else:
             raise IllTyped(f"{type(c).__name__} has no slot at this typing")
         if fam not in fams:
             raise IllTyped(f"{type(c).__name__} not available at this typing")
         n = len(leaves) + i * len(fams) + fams.index(fam)
-    if not full:
-        c._rank = (a, b, n)
+    c._rank = (a, b, n)
     return n
 
 
@@ -488,7 +436,7 @@ def num(c: Code) -> int:
     if contains_constval(c):
         slot = 2 * _sd_code(c) + 1
     else:
-        slot = 2 * rank_code(a, b, c, full=False)
+        slot = 2 * rank_code(a, b, c)
     n = cantor_pair(obj_rank(a), cantor_pair(obj_rank(b), slot))
     memo_store(_from_num_memo, n, c)
     return n

@@ -101,7 +101,7 @@ def canonical_code(a: Obj, b: Obj) -> Term:
 
 def random_term(rng: random.Random, a: Obj, b: Obj, depth: int) -> Term:
     """A random total term of typing (a, b) with constructor depth <= depth."""
-    leaves = _leaves(a, b, False)
+    leaves = _leaves(a, b)
     if depth <= 0:
         return rng.choice(leaves) if leaves else canonical_code(a, b)
     options = ["comp"]

@@ -14,13 +14,6 @@ Ord = Tuple[int, ...]
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-def _norm(coeffs: Sequence[int]) -> Ord:
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 def ord_zero() -> Ord:
     return ()
 

@@ -638,9 +638,9 @@ def load_cci(src: str) -> CCIInstance:
     """Read one (cci A c p) form, the .pr syntax for iteration instances."""
     cur = _cursor(src)
     cur.match("(")
-    head = cur.take("'cci'")
-    if head.text != "cci":
-        raise ParseError(head.pos, "'cci'")
+    head, pos = cur.take("'cci'")
+    if head != "cci":
+        raise ParseError(pos, "'cci'")
     space = _parse_obj(cur)
     c = _parse_term(cur)
     p = _parse_term(cur)

@@ -20,8 +20,8 @@ which is deliberately outside the grammar and will not re-parse.
 
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .term import (
@@ -53,66 +53,45 @@ class RefusesConstVal(Exception):
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_WS = " \t\r\n"
-_PUNCT = "(),"
+# A comment runs from `;` to the end of its line; whitespace is exactly
+# " \t\r\n", which the pattern skips by matching nothing else.
+_TOKEN = re.compile(r";[^\n]*|[(),]|[^ \t\r\n(),;]+")
+
+Tok = Tuple[str, int]  # (text, character offset)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    pos: int
-
-
-def _tokenize(src: str) -> List[_Tok]:
-    toks = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch in _WS:
-            i += 1
-        elif ch == ";":
-            while i < n and src[i] != "\n":
-                i += 1
-        elif ch in _PUNCT:
-            toks.append(_Tok(ch, i))
-            i += 1
-        else:
-            j = i
-            while j < n and src[j] not in _WS + _PUNCT + ";":
-                j += 1
-            toks.append(_Tok(src[i:j], i))
-            i = j
-    return toks
+def _tokenize(src: str) -> List[Tok]:
+    return [(text, m.start()) for m in _TOKEN.finditer(src)
+            if (text := m.group())[0] != ";"]
 
 
 class _Cursor:
     """Token stream with one-token lookahead and end-of-input position."""
 
-    def __init__(self, toks: List[_Tok], end: int):
+    def __init__(self, toks: List[Tok], end: int):
         self.toks = toks
         self.i = 0
         self.end = end
 
-    def peek(self) -> Optional[_Tok]:
+    def peek(self) -> Optional[Tok]:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def take(self, expectation: str) -> _Tok:
+    def take(self, expectation: str) -> Tok:
         tok = self.peek()
         if tok is None:
             raise ParseError(self.end, expectation)
         self.i += 1
         return tok
 
-    def match(self, text: str) -> _Tok:
-        tok = self.take(f"'{text}'")
-        if tok.text != text:
-            raise ParseError(tok.pos, f"'{text}'")
-        return tok
+    def match(self, text: str) -> None:
+        got, pos = self.take(f"'{text}'")
+        if got != text:
+            raise ParseError(pos, f"'{text}'")
 
     def done(self) -> None:
         tok = self.peek()
         if tok is not None:
-            raise ParseError(tok.pos, "end of input")
+            raise ParseError(tok[1], "end of input")
 
 
 # ---------------------------------------------------------------------------
@@ -131,37 +110,36 @@ _ATOMS = {
 
 
 def _parse_obj(cur: _Cursor) -> Obj:
-    tok = cur.take("an object")
-    if tok.text == "1":
+    text, pos = cur.take("an object")
+    if text == "1":
         return UNIT
-    if tok.text == "N":
+    if text == "N":
         return NAT
-    if tok.text == "(":
-        head = cur.take("'x' or 'abstr'")
-        if head.text == "x":
+    if text == "(":
+        head, head_pos = cur.take("'x' or 'abstr'")
+        if head == "x":
             left = _parse_obj(cur)
             right = _parse_obj(cur)
             cur.match(")")
             return Prod(left, right)
-        if head.text == "abstr":
+        if head == "abstr":
             carrier = _parse_obj(cur)
             chi = _parse_term(cur)
             cur.match(")")
             return Abstr(carrier, chi)
-        raise ParseError(head.pos, "'x' or 'abstr'")
-    raise ParseError(tok.pos, "an object")
+        raise ParseError(head_pos, "'x' or 'abstr'")
+    raise ParseError(pos, "an object")
 
 
 def _parse_term(cur: _Cursor) -> Term:
-    tok = cur.take("a term")
-    if tok.text in _ATOMS:
-        return _ATOMS[tok.text]()
-    if tok.text in STDLIB:
-        return STDLIB[tok.text]
-    if tok.text != "(":
-        raise ParseError(tok.pos, "a term")
-    head = cur.take("a term form")
-    kind = head.text
+    text, pos = cur.take("a term")
+    if text in _ATOMS:
+        return _ATOMS[text]()
+    if text in STDLIB:
+        return STDLIB[text]
+    if text != "(":
+        raise ParseError(pos, "a term")
+    kind, kind_pos = cur.take("a term form")
     if kind == "id":
         t: Term = Id(_parse_obj(cur))
     elif kind == "bang":
@@ -190,23 +168,23 @@ def _parse_term(cur: _Cursor) -> Term:
     elif kind == "dminus":
         t = DMinus(_parse_term(cur), _parse_term(cur))
     else:
-        raise ParseError(head.pos, "a term form")
+        raise ParseError(kind_pos, "a term form")
     cur.match(")")
     return t
 
 
 def _parse_value(cur: _Cursor) -> Value:
-    tok = cur.take("a value")
-    if tok.text.isascii() and tok.text.isdigit():
+    text, pos = cur.take("a value")
+    if text.isascii() and text.isdigit():
         try:
-            return NatV(int(tok.text))
+            return NatV(int(text))
         except ValueError:
             raise NumeralTooLong(
-                f"at offset {tok.pos}: numeral has {len(tok.text)} digits, "
+                f"at offset {pos}: numeral has {len(text)} digits, "
                 f"past the limit of {sys.get_int_max_str_digits()}") from None
-    if tok.text == "(":
+    if text == "(":
         nxt = cur.peek()
-        if nxt is not None and nxt.text == ")":
+        if nxt is not None and nxt[0] == ")":
             cur.take(")")
             return UNITV
         left = _parse_value(cur)
@@ -214,7 +192,7 @@ def _parse_value(cur: _Cursor) -> Value:
         right = _parse_value(cur)
         cur.match(")")
         return PairV(left, right)
-    raise ParseError(tok.pos, "a value")
+    raise ParseError(pos, "a value")
 
 
 def _cursor(src: str) -> _Cursor:

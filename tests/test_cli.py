@@ -417,6 +417,26 @@ class TestUsageErrors:
             run_cli(["eval", "--bogus", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("sub, flag", [
+        (sub, flag) for sub, flags in [
+            ("check", "arg mode fuel audit seed"),
+            ("quote", "arg mode fuel audit seed"),
+            ("eval", "audit seed"),
+            ("run", "mode audit seed format"),
+            ("cci", "mode"),
+            ("choice", "mode"),
+            ("mu", "mode audit seed"),
+            ("liar", "term arg mode audit seed format"),
+            ("corpus", "arg mode audit"),
+        ] for flag in flags.split()])
+    def test_flag_the_subcommand_does_not_read(self, sub, flag, capsys):
+        value = {"term": term_path("succ.pr"), "arg": "3", "mode": "iterative",
+                 "format": "records"}.get(flag, "1")
+        with pytest.raises(SystemExit) as exc:
+            main([sub, f"--{flag}", value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["frobnicate"])

@@ -13,8 +13,10 @@ from prcalc.coding import (
 )
 from prcalc.term import (
     Abstr, Bang, Comp, ConstVal, Id, Iter, NAT, NN, NatV, Pair, PairV, Prod,
-    Succ, TWO, UNIT, UNITV, ZeroC, eq0, leq, lt2, mul, typecheck,
+    STDLIB, Succ, TWO, UNIT, UNITV, ZeroC, eq0, leq, lt2, mod_cycle, mul,
+    typecheck,
 )
+from prcalc.term import cantor_unpair as cantor_unpair_term
 
 N = NatV
 P = PairV
@@ -94,12 +96,16 @@ class TestRanking:
                 assert typecheck(c) == (a, b)
                 assert rank_code(a, b, c) == n
 
-    def test_round_trip_full_grammar(self):
+    def test_round_trip_has_no_constval(self):
+        # machine constants are numbered by the structural code, never ranked
         for a, b in [(UNIT, NAT), (UNIT, NN), (NAT, NAT)]:
             for n in range(200):
-                c = unrank_code(a, b, n, full=True)
+                c = unrank_code(a, b, n)
                 assert typecheck(c) == (a, b)
-                assert rank_code(a, b, c, full=True) == n
+                assert not contains_constval(c)
+                assert rank_code(a, b, c) == n
+        with pytest.raises(IllTyped):
+            rank_code(UNIT, NAT, ConstVal(NAT, N(3)))
 
     def test_big_indices(self):
         rng = random.Random(17)
@@ -200,6 +206,40 @@ class TestNum:
         _, rest = cantor_unpair(n)
         _, slot = cantor_unpair(rest)
         assert slot % 2 == 1
+
+
+# (bit length, value mod 2^61 - 1) of recorded code numbers: any change to
+# the surface numbering moves them
+NUM_PINS = {
+    "pred": (802, 184275543321941129),
+    "add": (13, 6658),
+    "mul": (612, 1371779952722489097),
+    "monus": (806, 1080598908411834257),
+    "leq": (3213, 344407213038989270),
+    "eq": (102766, 878879222170904028),
+    "cantor_pair": (26197, 1474132174585540482),
+    "lt2": (12823, 1881324751608044844),
+    "mod_cycle": (29888, 1145902328015473523),
+}
+PIN_MOD = 2 ** 61 - 1
+
+
+class TestPinnedNumbers:
+    def test_succ_as_the_readme_shows(self):
+        assert num(Succ()) == 53
+
+    @pytest.mark.parametrize("name", sorted(NUM_PINS))
+    def test_num(self, name):
+        n = num(dict(STDLIB, lt2=lt2, mod_cycle=mod_cycle)[name])
+        assert (n.bit_length(), n % PIN_MOD) == NUM_PINS[name]
+
+    def test_cantor_unpair_rank(self):
+        # its num has 26 M bits and takes seconds of pairing, so pin the
+        # three parts num pairs: both object ranks and the 6.6 M-bit rank
+        a, b = typecheck(cantor_unpair_term)
+        r = rank_code(a, b, cantor_unpair_term)
+        assert (obj_rank(a), obj_rank(b)) == (1, 11)
+        assert (r.bit_length(), r % PIN_MOD) == (6565403, 489778132190307104)
 
 
 class TestPredCount:

@@ -73,6 +73,34 @@ class TestParseTerm:
         assert got == [(2, Iter(Succ())), (4, Succ())]
 
 
+class TestTokenEdges:
+    """Whitespace is exactly space, tab, CR and LF; a comment runs to the
+    end of its line; anything else, however exotic, is token text."""
+
+    @pytest.mark.parametrize("parse, src, position, expectation", [
+        (parse_term, "a;b c", 0, "a term"),
+        (parse_value, "(,) ;", 1, "a value"),
+        (parse_term, "\r\n", 2, "a term"),
+        (parse_term, "succ\x0bsucc", 0, "a term"),
+        (parse_term, "(iter succ\x0b)", 6, "a term"),
+        (parse_term, "(id \u2115)", 4, "an object"),
+        (parse_obj, "(x N \u2115)", 5, "an object"),
+        (parse_term, "; only a comment", 16, "a term"),
+    ])
+    def test_error_positions(self, parse, src, position, expectation):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert (exc.value.position, exc.value.expectation) == (
+            position, expectation)
+
+    def test_separators(self):
+        assert parse_term("(iter\r\nsucc)\r\n") == Iter(Succ())
+        assert parse_term("(comp\tsucc\t(projl N N))") == Comp(
+            Succ(), ProjL(NAT, NAT))
+        assert parse_term("(iter;c\nsucc);") == Iter(Succ())
+        assert parse_lines("; only a comment") == []
+
+
 class TestParseObj:
     def test_leaves(self):
         assert parse_obj("1") == UNIT
