@@ -25,7 +25,7 @@ from .coding import IllTyped, NotAPredicateCode, num
 from .diagonal import liar_report_lines, run_liar
 from .gen import random_value
 from .machine import (
-    DEFAULT_FUEL, Apply, DescentViolation, Done, EvalFailure, FuelExhausted,
+    DEFAULT_FUEL, DescentViolation, Done, EvalFailure, FuelExhausted,
     NestedFuelExhausted, Outcome, StatViolation, eval_iterative, frame_cost,
     objectivity_check, trace,
 )
@@ -277,6 +277,14 @@ def _cmd_corpus(a) -> int:
               "descent_violations": 0, "fuel_exhausted": 0}
     max_steps = 0
     max_cx: Ord = ()
+
+    def put(key: str, label: str, fields: List[str]) -> None:
+        # records: the key line, then one line per field; text: one line
+        if a.format == "records":
+            lines.extend([key] + fields)
+        else:
+            lines.append(label + " " + " ".join(fields))
+
     for raw in _read(corpus_path).splitlines():
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -292,8 +300,8 @@ def _cmd_corpus(a) -> int:
         desc = sum(isinstance(e.outcome, DescentViolation) for e in entries)
         term_steps = max((e.steps for e in entries), default=0)
         # the machine checks that the measure falls at every step, so each
-        # run's first configuration, [Apply(t)], is its most complex one
-        term_cx: Ord = frame_cost(Apply(t)) if samples else ()
+        # run's first configuration, [t], is its most complex one
+        term_cx: Ord = frame_cost(t) if samples else ()
         totals["terms"] += 1
         totals["args"] += samples
         totals["mismatches"] += mismatches
@@ -302,34 +310,17 @@ def _cmd_corpus(a) -> int:
         max_steps = max(max_steps, term_steps)
         if ord_cmp(max_cx, term_cx) == LESS:
             max_cx = term_cx
-        if a.format == "records":
-            lines += [f"term={rel}", f"samples={samples}",
-                      f"mismatches={mismatches}",
-                      f"descent_violations={desc}",
-                      f"fuel_exhausted={fuel_out}",
-                      f"max_steps={term_steps}",
-                      f"max_complexity={ord_brackets(term_cx)}"]
-        else:
-            lines.append(
-                f"{rel}: samples={samples} mismatches={mismatches} "
-                f"descent_violations={desc} fuel_exhausted={fuel_out} "
-                f"max_steps={term_steps} "
-                f"max_complexity={ord_brackets(term_cx)}")
+        put(f"term={rel}", f"{rel}:",
+            [f"samples={samples}", f"mismatches={mismatches}",
+             f"descent_violations={desc}", f"fuel_exhausted={fuel_out}",
+             f"max_steps={term_steps}",
+             f"max_complexity={ord_brackets(term_cx)}"])
     ok = not (totals["mismatches"] or totals["descent_violations"]
               or totals["fuel_exhausted"])
-    if a.format == "records":
-        lines += ["kind=corpus-summary"]
-        lines += [f"{k}={v}" for k, v in totals.items()]
-        lines += [f"max_steps={max_steps}",
-                  f"max_complexity={ord_brackets(max_cx)}", f"ok={ok}"]
-    else:
-        lines.append(
-            f"summary: terms={totals['terms']} args={totals['args']} "
-            f"mismatches={totals['mismatches']} "
-            f"descent_violations={totals['descent_violations']} "
-            f"fuel_exhausted={totals['fuel_exhausted']} "
-            f"max_steps={max_steps} max_complexity={ord_brackets(max_cx)} "
-            f"ok={ok}")
+    put("kind=corpus-summary", "summary:",
+        [f"{k}={v}" for k, v in totals.items()]
+        + [f"max_steps={max_steps}", f"max_complexity={ord_brackets(max_cx)}",
+           f"ok={ok}"])
     _emit(lines, a.trace_path)
     return 0 if ok else 1
 

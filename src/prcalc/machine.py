@@ -1,11 +1,13 @@
 """Iterative evaluator: a frame machine with an ordinal termination measure.
 
-A configuration is a stack of frames plus the current value.  Each frame
-carries an ordinal cost and every transition strictly lowers the natural
-sum of the frame costs, so the measure witnesses termination; the evaluator
-checks the descent at every step and reports a violation as an outcome
-rather than trusting the design.  Complexity zero holds exactly on the
-empty stack, where stepping is a no-op.
+A configuration is a stack of frames plus the current value; a code on
+the stack is its own application frame, and four bookkeeping frames hold
+a pair, iteration or restriction in progress.  Each frame carries an
+ordinal cost and every transition strictly lowers the natural sum of the
+frame costs, so the measure witnesses termination; the evaluator checks
+the descent at every step and reports a violation as an outcome rather
+than trusting the design.  Complexity zero holds exactly on the empty
+stack, where stepping is a no-op.
 
 Configurations encode as (code, value) pairs: the stack folds into a
 composition chain whose captured values travel as machine-internal
@@ -98,11 +100,6 @@ def apply_cost(c: Term) -> Ord:
 # frames
 
 @dataclass(frozen=True)
-class Apply:
-    code: Term
-
-
-@dataclass(frozen=True)
 class PairLeft:
     # waiting for the left component; fires with the left result in current
     g: Term
@@ -129,7 +126,8 @@ class RestrictCheck:
     ab: Abstr
 
 
-Frame = Union[Apply, PairLeft, PairRight, IterPending, RestrictCheck]
+# any other frame is a code, which is its own application frame
+Frame = Union[Term, PairLeft, PairRight, IterPending, RestrictCheck]
 
 
 def frame_cost(fr: Frame) -> Ord:
@@ -143,12 +141,10 @@ def frame_cost(fr: Frame) -> Ord:
     k-scaled pending frame it unfolds into; a pending frame sheds exactly
     one unit per unfolding; the reflected operators pop a flat cost of two.
     Each margin compares only the popped frame with the frames pushed in
-    its place, which is all the step loop checks (see `_drive`).  An
-    application frame's cost is `apply_cost`, kept on the code node.
+    its place, which is all the step loop checks (see `_drive`).  A code
+    is its own application frame, of cost `apply_cost`, kept on the node.
     """
     t = type(fr)
-    if t is Apply:
-        return apply_cost(fr.code)
     if t is PairLeft:
         return ord_nat_sum(complexity(fr.g), (3,))
     if t is PairRight:
@@ -158,7 +154,7 @@ def frame_cost(fr: Frame) -> Ord:
         return ord_nat_sum(ord_nat_scale(fr.remaining, per), _ONE)
     if t is RestrictCheck:
         return ord_nat_sum(complexity(fr.ab.chi), _ONE)
-    raise TypeError(f"not a frame: {fr!r}")
+    return apply_cost(fr)
 
 
 def _acc_add(acc: List[int], o: Ord) -> None:
@@ -249,22 +245,19 @@ def config_complexity(cfg: Config) -> Ord:
 
 
 # ---------------------------------------------------------------------------
-# fuel and internal run errors
+# fuel and run stops
 
 class _OutOfFuel(Exception):
     def __init__(self, nested: bool):
         self.nested = nested
-        self.tail: Tuple[Tuple[int, Ord], ...] = ()  # filled in by `_drive`
 
 
-class _DescentErr(Exception):
-    def __init__(self, step: int, before: Ord, after: Ord):
-        self.step, self.before, self.after = step, before, after
+class _Stop(Exception):
+    """Ends a run with its outcome: a violation, or fuel exhaustion once
+    the root run has its tail (see `_drive`)."""
 
-
-class _StatErr(Exception):
-    def __init__(self, step: int):
-        self.step = step
+    def __init__(self, outcome: Outcome):
+        self.outcome = outcome
 
 
 class FuelTank:
@@ -287,27 +280,27 @@ class FuelTank:
 
 
 def _frame_code(fr: Frame) -> Term:
-    """The code a frame contributes to the folded chain.  Captured values
-    ride along as machine-internal constants fed through a bang."""
-    if isinstance(fr, Apply):
-        return fr.code
-    if isinstance(fr, PairLeft):
+    """The code a frame contributes to the folded chain: a code is its own.
+    Captured values ride along as machine-internal constants fed through
+    a bang."""
+    t = type(fr)
+    if t is PairLeft:
         a_obj, _ = typecheck(fr.g)
         return Pair(Id(fr.left_cod),
                     Comp(fr.g, Comp(ConstVal(a_obj, fr.saved),
                                     Bang(fr.left_cod))))
-    if isinstance(fr, PairRight):
+    if t is PairRight:
         return Pair(Comp(ConstVal(fr.left_obj, fr.left), Bang(fr.right_cod)),
                     Id(fr.right_cod))
-    if isinstance(fr, IterPending):
+    if t is IterPending:
         a_obj, _ = typecheck(fr.g)
         return Comp(Iter(fr.g),
                     Pair(Id(a_obj),
                          Comp(ConstVal(NAT, NatV(fr.remaining)),
                               Bang(a_obj))))
-    if isinstance(fr, RestrictCheck):
+    if t is RestrictCheck:
         return Restrict(Id(fr.ab.carrier), fr.ab)
-    raise TypeError(f"not a frame: {fr!r}")
+    return fr
 
 
 def encode_config(cfg: Config) -> Tuple[Term, Value]:
@@ -353,12 +346,12 @@ def _match_frame(code: Term) -> Frame:
     if (isinstance(code, Restrict) and isinstance(code.f, Id)
             and code.f.obj == code.ab.carrier):
         return RestrictCheck(code.ab)
-    return Apply(code)
+    return code
 
 
 def _unfold(code: Term) -> Tuple[List[Frame], Obj]:
     """Invert the fold: peel the composition spine down to an identity.
-    A code that does not end in one is a single application frame."""
+    A code that does not end in one is a single frame, itself."""
     spine = []
     t = code
     while isinstance(t, Comp):
@@ -367,7 +360,7 @@ def _unfold(code: Term) -> Tuple[List[Frame], Obj]:
     if isinstance(t, Id):
         return [_match_frame(g) for g in spine], t.obj
     dom, _ = typecheck(code)
-    return [Apply(code)], dom
+    return [code], dom
 
 
 def decode_config(code: Term, value: Value) -> Config:
@@ -402,13 +395,11 @@ def _fire(cfg: Config, tank: FuelTank):
         return
     top = cfg.frames[-1]
     t = type(top)
-    if t is Apply:
-        return _apply(cfg, top.code, tank)
     if t is PairLeft:
         cfg._pop()
         g_dom, g_cod = typecheck(top.g)
         cfg._push(PairRight(cfg.current, top.left_cod, g_cod))
-        cfg._push(Apply(top.g), apply_cost(top.g))
+        cfg._push(top.g, apply_cost(top.g))
         cfg.current = top.saved
         cfg.value_obj = g_dom
     elif t is PairRight:
@@ -419,7 +410,7 @@ def _fire(cfg: Config, tank: FuelTank):
         cfg._pop()
         if top.remaining > 0:
             cfg._push(IterPending(top.g, top.remaining - 1))
-            cfg._push(Apply(top.g), apply_cost(top.g))
+            cfg._push(top.g, apply_cost(top.g))
     elif t is RestrictCheck:
         ab = top.ab
         if eval_structural(ab.chi, cfg.current) != NatV(1):
@@ -427,7 +418,7 @@ def _fire(cfg: Config, tank: FuelTank):
         cfg._pop()
         cfg.value_obj = ab
     else:
-        raise EvalError(f"unknown frame {top!r}")
+        return _apply(cfg, top, tank)
 
 
 def _apply(cfg: Config, u: Term, tank: FuelTank):
@@ -438,13 +429,13 @@ def _apply(cfg: Config, u: Term, tank: FuelTank):
         cfg.value_obj = typecheck(u)[1]
     elif t is Comp:
         cfg._pop()
-        cfg._push(Apply(u.g), apply_cost(u.g))
-        cfg._push(Apply(u.f), apply_cost(u.f))
+        cfg._push(u.g, apply_cost(u.g))
+        cfg._push(u.f, apply_cost(u.f))
     elif t is Pair:
         cfg._pop()
         _, f_cod = typecheck(u.f)
         cfg._push(PairLeft(u.g, cfg.current, f_cod))
-        cfg._push(Apply(u.f), apply_cost(u.f))
+        cfg._push(u.f, apply_cost(u.f))
     elif t is Cyl:
         cur = cfg.current
         if not isinstance(cur, PairV):
@@ -452,7 +443,7 @@ def _apply(cfg: Config, u: Term, tank: FuelTank):
         cfg._pop()
         g_dom, g_cod = typecheck(u.g)
         cfg._push(PairRight(cur.left, u.c, g_cod))
-        cfg._push(Apply(u.g), apply_cost(u.g))
+        cfg._push(u.g, apply_cost(u.g))
         cfg.current = cur.right
         cfg.value_obj = g_dom
     elif t is Iter:
@@ -466,7 +457,7 @@ def _apply(cfg: Config, u: Term, tank: FuelTank):
     elif t is Restrict:
         cfg._pop()
         cfg._push(RestrictCheck(u.ab))
-        cfg._push(Apply(u.f), apply_cost(u.f))
+        cfg._push(u.f, apply_cost(u.f))
     elif t is DMinus:
         cfg._pop()
         return _dminus(cfg, u)
@@ -594,8 +585,9 @@ def _drive(cfg: Config, tank: FuelTank, idx: int = 0, stop: int = -1,
     whose result resumes the generator, and the step then finishes with
     its descent check.  Only the root job feeds on_record and, with tail,
     a ring of its last ten steps as (index, popped cost, pushed sum); when
-    fuel runs out the ring becomes the `_OutOfFuel` tail of (index,
-    measure after the step).  A root given gen is a bare fire (`step`).
+    fuel runs out the ring becomes the tail of (index, measure after the
+    step) of the fuel outcome it stops with.  A root given gen is a bare
+    fire (`step`).
 
     Every transition pops exactly the top frame and pushes zero to two
     frames on top of the rest of the stack.  The natural sum is
@@ -627,7 +619,7 @@ def _drive(cfg: Config, tank: FuelTank, idx: int = 0, stop: int = -1,
                         cfg, stop = req[1], 1
                     else:
                         dom, _ = typecheck(req[1])
-                        cfg, stop = Config([Apply(req[1])], req[2], dom), -1
+                        cfg, stop = Config([req[1]], req[2], dom), -1
                     continue
             elif cfg.frames and idx != stop:
                 if rec is not None:
@@ -646,7 +638,7 @@ def _drive(cfg: Config, tank: FuelTank, idx: int = 0, stop: int = -1,
                     _fire(cfg, tank)
                     if (cfg.frames or cfg.current is not cur
                             or cfg.value_obj is not vo):
-                        raise _StatErr(idx)
+                        raise _Stop(StatViolation(idx))
                 if not jobs:
                     return cfg.current
                 sent = cfg.current
@@ -662,18 +654,21 @@ def _drive(cfg: Config, tank: FuelTank, idx: int = 0, stop: int = -1,
                 pushed = costs[n] if k else ()
             if ord_cmp(pushed, popped) != LESS:
                 before = _trim(_raw_sum(costs[:n] + [popped]))
-                raise _DescentErr(idx, before, _trim(_raw_sum(costs)))
+                raise _Stop(DescentViolation(idx, before,
+                                             _trim(_raw_sum(costs))))
             if tl is not None:
                 tl.append((idx, popped, pushed))
             idx += 1
     except _OutOfFuel as e:
-        if ring is not None:
-            # the root's stack before its unfinished step, which may have
-            # popped its frame already (a dminus or an edot miss in flight)
-            if jobs:
-                cfg, n, popped = jobs[0][0], jobs[0][4], jobs[0][5]
-            e.tail = _tail_measures(ring, _raw_sum(cfg.costs[:n] + [popped]))
-        raise
+        if ring is None:
+            raise
+        # the root's stack before its unfinished step, which may have
+        # popped its frame already (a dminus or an edot miss in flight)
+        if jobs:
+            cfg, n, popped = jobs[0][0], jobs[0][4], jobs[0][5]
+        kind = NestedFuelExhausted if e.nested else FuelExhausted
+        raise _Stop(kind(_tail_measures(
+            ring, _raw_sum(cfg.costs[:n] + [popped]))))
     finally:
         tank.depth = depth0
 
@@ -726,27 +721,21 @@ def _launch(u: Term, v: Value) -> Config:
     dom, _ = typecheck(u)
     if not shape_fits(dom, v):
         raise TypeMismatch(f"argument does not fit {dom}")
-    return Config([Apply(u)], v, dom)
+    return Config([u], v, dom)
 
 
 def eval_iterative(u: Term, v: Value, fuel: int = DEFAULT_FUEL,
                    on_record: Optional[Callable[[int, Config], None]] = None,
                    ) -> Outcome:
-    """Run the machine from ([Apply(u)], v) until complexity zero."""
+    """Run the machine from ([u], v) until complexity zero."""
     cfg = _launch(u, v)
     tank = FuelTank(fuel)
     try:
-        result = _drive(cfg, tank, tail=True, on_record=on_record)
-    except _OutOfFuel as e:
-        kind = NestedFuelExhausted if e.nested else FuelExhausted
-        return kind(e.tail)
-    except _DescentErr as e:
-        return DescentViolation(e.step, e.before, e.after)
-    except _StatErr as e:
-        return StatViolation(e.step)
+        return Done(_drive(cfg, tank, tail=True, on_record=on_record))
+    except _Stop as e:
+        return e.outcome
     except (EvalError, IllTyped) as e:
         return EvalFailure(str(e))
-    return Done(result)
 
 
 def outcome_kind(o: Outcome) -> str:
@@ -757,17 +746,18 @@ def outcome_kind(o: Outcome) -> str:
 # tracing and agreement reports
 
 def _render_frame(fr: Frame) -> str:
-    if isinstance(fr, Apply):
-        return "Apply:" + print_term(fr.code, const_sigil=True)
-    if isinstance(fr, PairLeft):
+    t = type(fr)
+    if t is PairLeft:
         return (f"PairLeft[{print_value(fr.saved)}]:"
                 + print_term(fr.g, const_sigil=True))
-    if isinstance(fr, PairRight):
+    if t is PairRight:
         return f"PairRight[{print_value(fr.left)}]"
-    if isinstance(fr, IterPending):
+    if t is IterPending:
         return (f"IterPending[{fr.remaining}]:"
                 + print_term(fr.g, const_sigil=True))
-    return "RestrictCheck:" + print_term(fr.ab.chi, const_sigil=True)
+    if t is RestrictCheck:
+        return "RestrictCheck:" + print_term(fr.ab.chi, const_sigil=True)
+    return "Apply:" + print_term(fr, const_sigil=True)
 
 
 def trace(u: Term, v: Value, fuel: int = DEFAULT_FUEL,
@@ -848,8 +838,8 @@ def objectivity_check(t: Term, args, fuel: int = DEFAULT_FUEL,
 
 
 __all__ = [
-    "Apply", "Config", "DEFAULT_FUEL", "DescentViolation", "Done",
-    "EvalFailure", "Frame", "FuelExhausted", "FuelTank", "IterPending",
+    "Config", "DEFAULT_FUEL", "DescentViolation", "Done", "EvalFailure",
+    "Frame", "FuelExhausted", "FuelTank", "IterPending",
     "NestedFuelExhausted", "ObjectivityEntry", "ObjectivityReport",
     "Outcome", "PairLeft", "PairRight", "RestrictCheck", "StatViolation",
     "complexity", "config_complexity", "decode_config", "decode_value",

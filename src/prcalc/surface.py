@@ -270,10 +270,7 @@ def print_value(v: Value) -> str:
     return f"({print_value(v.left)},{print_value(v.right)})"
 
 
-_ATOM_NAMES = {
-    Succ: "succ", TrueC: "true", FalseC: "false", NotC: "not",
-    EqNat: "eqnat", CDot: "cdot", EDot: "edot", HashC: "hashc",
-}
+_ATOM_NAMES = {cls: name for name, cls in _ATOMS.items()}
 
 
 def print_term(t: Term, const_sigil: bool = False) -> str:

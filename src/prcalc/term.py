@@ -409,19 +409,6 @@ def typecheck(t: Term) -> Tuple[Obj, Obj]:
     raise TypeMismatch(f"unknown constructor {type(t).__name__}")
 
 
-def depth(t: Term) -> int:
-    """Constructor nesting depth; leaves are 0."""
-    if isinstance(t, (Pair, Comp)):
-        return 1 + max(depth(t.f), depth(t.g))
-    if isinstance(t, DMinus):
-        return 1 + max(depth(t.c), depth(t.p))
-    if isinstance(t, (Cyl, Iter)):
-        return 1 + depth(t.g)
-    if isinstance(t, Restrict):
-        return 1 + depth(t.f)
-    return 0
-
-
 ### structural evaluation
 
 def eval_structural(t: Term, v: Value) -> Value:

@@ -9,7 +9,7 @@ import prcalc.machine as machine
 from prcalc.coding import encode_ord, from_num, hashc_num, num, quote
 from prcalc.gen import random_value
 from prcalc.machine import (
-    Apply, Config, DescentViolation, Done, EvalFailure, FuelExhausted,
+    Config, DescentViolation, Done, EvalFailure, FuelExhausted,
     FuelTank, IterPending, NestedFuelExhausted, PairLeft, RestrictCheck,
     complexity, config_complexity, decode_config, decode_value,
     encode_config, encode_value, eval_iterative, frame_cost,
@@ -66,7 +66,7 @@ class TestComplexity:
     def test_config_complexity(self):
         empty = Config([], N(0), NAT)
         assert config_complexity(empty) == ()
-        assert config_complexity(Config([Apply(Succ())], N(0), NAT)) == (1,)
+        assert config_complexity(Config([Succ()], N(0), NAT)) == (1,)
         cfg = Config([IterPending(Succ(), 3)], N(0), NAT)
         assert config_complexity(cfg) == (7,)
         assert cfg.ord() == (7,)
@@ -106,7 +106,7 @@ class TestStep:
 
     def test_dminus_runs_its_nested_jobs(self):
         tank = FuelTank(1000)
-        cfg = step(Config([Apply(DMinus(Id(NAT), pred))], N(3), NAT), tank)
+        cfg = step(Config([DMinus(Id(NAT), pred)], N(3), NAT), tank)
         assert cfg.halted() and cfg.current == nat2(3, 3)
         assert cfg.value_obj == NN
         # the nested runs spend fuel; the fired step itself spends none
@@ -120,7 +120,7 @@ class TestStep:
         for t, a, left, result, memoised in cases:
             monkeypatch.setattr(machine, "_estep_memo", {})
             tank = FuelTank(1000)
-            cfg = Config([Apply(EDot())], P(N(num(quote(t))), N(a)), NN)
+            cfg = Config([EDot()], P(N(num(quote(t))), N(a)), NN)
             step(cfg, tank)
             assert cfg.halted() and cfg.value_obj == NN
             assert (tank.remaining, tank.depth) == (left, 0)

@@ -14,7 +14,7 @@ from prcalc.term import (
     Abstr, Bang, CDot, Comp, ConstVal, Cyl, DMinus, EDot, EqNat, EvalError,
     FalseC, HashC, Id, Incl, Iter, NAT, NN, NatV, NotC, Pair, PairV, Prod,
     ProjL, ProjR, Restrict, STDLIB, Succ, TWO, TrueC, TypeMismatch, UNIT,
-    UNITV, UnitV, ZeroC, add, cantor_pair, cantor_unpair, cond, depth, eq,
+    UNITV, UnitV, ZeroC, add, cantor_pair, cantor_unpair, cond, eq,
     eq0, eq_sample, eval_structural, find_point, has_abstr, leq, lt2,
     mod_cycle, monus, mul, obj_check, pred, shape_fits, swap, tri, two_and, two_or, typecheck,
     value_check, value_shape, zero_value,
@@ -144,14 +144,6 @@ class TestInterning:
             Comp(Succ())
         with pytest.raises(TypeMismatch, match="not an object"):
             typecheck(Id(Succ()))
-
-
-class TestDepth:
-    def test_examples(self):
-        assert depth(Succ()) == 0
-        assert depth(Comp(Succ(), Succ())) == 1
-        assert depth(Iter(Comp(Succ(), Succ()))) == 2
-        assert depth(DMinus(CDot(), EDot())) == 1
 
 
 class TestValues:
