@@ -7,8 +7,9 @@ antidiagonal, and sweep a term corpus against the structural oracle.
 
 Exit codes: 0 on success, 1 when an evaluation fails (fuel, descent,
 stationarity, a rejected restriction), 2 on usage or type errors, on
-terms nested too deeply for the host stack, and on numerals past the
-host's limit on decimal digits.  With `--format records`
+files that are not UTF-8 text, on terms and values nested too deeply
+for the host stack, and on numerals past the host's limit on decimal
+digits.  With `--format records`
 output is line-delimited key=value and byte-identical for identical
 invocations; `--seed` pins all sampling.
 """
@@ -37,7 +38,8 @@ from .partial import (
 from .surface import NumeralTooLong, ParseError, parse_term, parse_value, \
     print_nat, print_obj, print_term, print_value
 from .term import (
-    Comp, EvalError, TypeMismatch, eval_structural, find_point, typecheck,
+    Comp, EvalError, TypeMismatch, Value, eval_structural, find_point,
+    typecheck,
 )
 
 DEFAULT_LAW_SAMPLES = 200
@@ -75,6 +77,11 @@ class _Usage(Exception):
     """Bad invocation shape: missing flags, unreadable files."""
 
 
+class _Refused(Exception):
+    """Input the tools cannot take: a file that is not UTF-8 text, a
+    value nested too deeply for the host stack."""
+
+
 def _need(value, flag: str, sub: str):
     if value is None:
         raise _Usage(f"{sub} requires {flag}")
@@ -87,6 +94,19 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise _Usage(str(e)) from e
+    except UnicodeDecodeError as e:
+        byte = e.object[e.start]
+        raise _Refused(f"{path} is not UTF-8 text: byte 0x{byte:02x} "
+                       f"at offset {e.start}") from None
+
+
+def _arg(a, sub: str) -> Value:
+    """The parsed --arg value, which sub requires."""
+    text = _need(a.arg, "--arg", sub)
+    try:
+        return parse_value(text)
+    except RecursionError:
+        raise _Refused("value nests too deeply") from None
 
 
 def _load_term(path: str):
@@ -151,7 +171,7 @@ def _cmd_check(a) -> int:
 
 def _cmd_eval(a) -> int:
     t = _load_term(_need(a.term, "--term", "eval"))
-    v = parse_value(_need(a.arg, "--arg", "eval"))
+    v = _arg(a, "eval")
     if a.mode == "structural":
         try:
             got: Outcome = Done(eval_structural(t, v))
@@ -174,7 +194,7 @@ def _cmd_quote(a) -> int:
 
 def _cmd_run(a) -> int:
     t = _load_term(_need(a.term, "--term", "run"))
-    v = parse_value(_need(a.arg, "--arg", "run"))
+    v = _arg(a, "run")
     records, out = trace(t, v, a.fuel)
     out_lines, code = _outcome_lines(out, records=True)
     _emit(records + out_lines, a.trace_path)
@@ -186,7 +206,7 @@ def _cmd_cci(a) -> int:
     lines: List[str] = []
     code = 0
     if a.arg is not None:
-        got = cci_run(inst, parse_value(a.arg), a.fuel)
+        got = cci_run(inst, _arg(a, "cci"), a.fuel)
         if not isinstance(got, CCIDone):
             lines, code = _outcome_lines(got, a.format == "records")
         elif a.format == "records":
@@ -217,7 +237,7 @@ def _cmd_choice(a) -> int:
         if base is None:
             raise _Usage("could not find a fallback point in the domain")
         g = middle_inverse_total(f, base, a.fuel)
-        _emit([print_value(g(parse_value(a.arg)))], a.trace_path)
+        _emit([print_value(g(_arg(a, "choice")))], a.trace_path)
         return 0
     w = structural_middle_inverse(f)
     fgf = Comp(f, Comp(w, f))
@@ -237,7 +257,7 @@ def _cmd_choice(a) -> int:
 
 def _cmd_mu(a) -> int:
     phi = _load_term(_need(a.term, "--term", "mu"))
-    v = parse_value(_need(a.arg, "--arg", "mu"))
+    v = _arg(a, "mu")
     got = mu_search(phi, v, a.fuel)
     if isinstance(got, FuelExhausted):
         _emit([f"no witness below {a.fuel}"], a.trace_path)
@@ -359,7 +379,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (ParseError, NumeralTooLong, TypeMismatch, IllTyped,
+    except (_Refused, ParseError, NumeralTooLong, TypeMismatch, IllTyped,
             NotAPredicateCode, UnsupportedConstructor) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

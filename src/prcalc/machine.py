@@ -20,13 +20,16 @@ zero, running this same machine on a shared fuel tank.
 Fuel counts machine steps, including every step taken inside reflected
 runs, so one budget bounds the total work of an evaluation.  Nested runs
 are jobs on one explicit stack (`_drive`), not host recursion, so the
-reflection depth is bounded by fuel alone.
+reflection depth is bounded by fuel alone.  `eval_iterative` is the one
+way into that loop, and `_measure` the one computation of a
+configuration's measure from its stored frame costs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .coding import (
@@ -176,11 +179,11 @@ def _trim(acc) -> Ord:
     return tuple(acc[:i])
 
 
-def _raw_sum(costs) -> List[int]:
-    acc: List[int] = []
-    for c in costs:
-        _acc_add(acc, c)
-    return acc
+def _measure(costs) -> Ord:
+    """The measure of a stack with these frame costs: their natural sum,
+    a coefficientwise sum, here one column sum per power of omega."""
+    total = tuple(map(sum, zip_longest(*costs, fillvalue=0)))
+    return _trim(total) if total and not total[-1] else total
 
 
 class Config:
@@ -189,30 +192,21 @@ class Config:
 
     `costs[i]` is `frame_cost(frames[i])`, paid once when the frame is
     pushed; an application frame reads its cost from the code node
-    (`apply_cost`).  The total complexity is the natural sum of `costs`.
-    The natural sum is a coefficientwise sum, hence cancellative, so a
-    running total can be kept by adding a cost on push and subtracting it
-    on pop.  That total (`_acc`) is built on the first `ord()` call and
-    kept from then on, for callers that read the measure at every step
-    (`trace`, `diagonal.run_liar`).  The step loop itself never builds
-    it: its descent check is local, and a run that exhausts its fuel
-    rebuilds its last measures from the final stack (`_tail_measures`).
+    (`apply_cost`).  `ord()` sums the stored costs on demand; nothing
+    keeps a running total, since the step loop's descent check is local
+    (see `_drive`).
     """
 
-    __slots__ = ("frames", "costs", "current", "value_obj", "_acc")
+    __slots__ = ("frames", "costs", "current", "value_obj")
 
     def __init__(self, frames, current: Value, value_obj: Obj):
         self.frames: List[Frame] = list(frames)
         self.costs: List[Ord] = [frame_cost(fr) for fr in self.frames]
         self.current = current
         self.value_obj = value_obj
-        self._acc: Optional[List[int]] = None
 
     def ord(self) -> Ord:
-        acc = self._acc
-        if acc is None:
-            acc = self._acc = _raw_sum(self.costs)
-        return _trim(acc)
+        return _measure(self.costs)
 
     def halted(self) -> bool:
         return not self.frames
@@ -222,26 +216,14 @@ class Config:
             cost = frame_cost(fr)
         self.frames.append(fr)
         self.costs.append(cost)
-        if self._acc is not None:
-            _acc_add(self._acc, cost)
 
     def _pop(self) -> Frame:
-        cost = self.costs.pop()
-        if self._acc is not None:
-            _acc_sub(self._acc, cost)
+        self.costs.pop()
         return self.frames.pop()
 
     def __repr__(self):
         return (f"Config(frames={len(self.frames)}, "
                 f"complexity={ord_brackets(self.ord())})")
-
-
-def config_complexity(cfg: Config) -> Ord:
-    """Natural sum of the frame costs, recomputed from scratch."""
-    total: Ord = ()
-    for fr in cfg.frames:
-        total = ord_nat_sum(total, frame_cost(fr))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +450,7 @@ def _apply(cfg: Config, u: Term, tank: FuelTank):
         if cost is None:
             # the measure factors through the code: the value number is unused
             frames, _ = _unfold(from_num(nu))
-            cost = encode_ord(_trim(_raw_sum(frame_cost(fr) for fr in frames)))
+            cost = encode_ord(_measure([frame_cost(fr) for fr in frames]))
             memo_store(_ccost_memo, nu, cost)
         cfg.current = NatV(cost)
         cfg.value_obj = NAT
@@ -547,17 +529,6 @@ def _edot_miss(cfg: Config, nu: int, nv: int, tank: FuelTank):
     cfg.value_obj = NN
 
 
-def step(cfg: Config, tank: Optional[FuelTank] = None) -> Config:
-    """Fire the top frame once, spending no fuel and checking no descent;
-    mutates and returns cfg.  Reflected operators run their nested jobs
-    on tank (a fresh default tank if none), checked as in any run."""
-    tank = tank if tank is not None else FuelTank(DEFAULT_FUEL)
-    gen = _fire(cfg, tank)
-    if gen is not None:
-        _drive(cfg, tank, gen=gen)
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # the run loop
 
@@ -573,35 +544,35 @@ def _tail_measures(ring, total: List[int]) -> Tuple[Tuple[int, Ord], ...]:
     return tuple(reversed(out))
 
 
-def _drive(cfg: Config, tank: FuelTank, idx: int = 0, stop: int = -1,
-           gen=None, tail: bool = False,
+def _drive(cfg: Config, tank: FuelTank,
            on_record: Optional[Callable[[int, Config], None]] = None,
            ) -> Value:
-    """The one machine loop: steps cfg and every nested run on an explicit
-    stack of suspended jobs.  A job is a config stepped from index idx to
-    the empty stack (stop -1: a run, closed by the stationarity probe) or
-    up to index stop.  A transition that returns a generator suspends its
-    job; each request starts a job one reflected level deeper (tank.depth)
-    whose result resumes the generator, and the step then finishes with
-    its descent check.  Only the root job feeds on_record and, with tail,
-    a ring of its last ten steps as (index, popped cost, pushed sum); when
-    fuel runs out the ring becomes the tail of (index, measure after the
-    step) of the fuel outcome it stops with.  A root given gen is a bare
-    fire (`step`).
+    """The one machine loop, entered only through `eval_iterative`: steps
+    cfg and every nested run on an explicit stack of suspended jobs.  A
+    job is a config stepped from index 0 to the empty stack (stop -1: a
+    run, closed by the stationarity probe; the root is one) or up to
+    index stop; every step spends one unit of fuel and checks descent.
+    A transition that returns a generator suspends its job; each request
+    starts a job one reflected level deeper (tank.depth) whose result
+    resumes the generator, and the step then finishes with its descent
+    check.  Only the root job feeds on_record and a ring of its last ten
+    steps as (index, popped cost, pushed sum); when fuel runs out the
+    ring becomes the tail of (index, measure after the step) of the fuel
+    outcome it stops with.
 
     Every transition pops exactly the top frame and pushes zero to two
     frames on top of the rest of the stack.  The natural sum is
     cancellative and strictly monotone, so with R the untouched rest,
     P the popped cost and Q the pushed costs, R + sum(Q) < R + P holds
     exactly when sum(Q) < P: comparing those two is the whole descent
-    check.  No running total is kept: the full before/after measures are
-    built only to report a violation, and the tail's measures only when
-    fuel runs out.
+    check.  Whole measures (`_measure`) are built only to report a
+    violation, and the tail's only when fuel runs out.
     """
     jobs: list = []  # suspended (cfg, idx, stop, gen, n, popped, rec, tl)
     depth0, rec = tank.depth, on_record
-    ring = tl = deque(maxlen=10) if tail else None
-    sent = n = popped = None
+    ring = tl = deque(maxlen=10)
+    idx, stop = 0, -1
+    gen = sent = n = popped = None
     try:
         while True:
             if gen is not None:
@@ -609,8 +580,6 @@ def _drive(cfg: Config, tank: FuelTank, idx: int = 0, stop: int = -1,
                     req = gen.send(sent)
                 except StopIteration:
                     gen = None
-                    if popped is None:
-                        return cfg.current
                 else:
                     jobs.append((cfg, idx, stop, gen, n, popped, rec, tl))
                     tank.depth += 1
@@ -653,29 +622,21 @@ def _drive(cfg: Config, tank: FuelTank, idx: int = 0, stop: int = -1,
             else:
                 pushed = costs[n] if k else ()
             if ord_cmp(pushed, popped) != LESS:
-                before = _trim(_raw_sum(costs[:n] + [popped]))
-                raise _Stop(DescentViolation(idx, before,
-                                             _trim(_raw_sum(costs))))
+                raise _Stop(DescentViolation(
+                    idx, _measure(costs[:n] + [popped]), _measure(costs)))
             if tl is not None:
                 tl.append((idx, popped, pushed))
             idx += 1
     except _OutOfFuel as e:
-        if ring is None:
-            raise
         # the root's stack before its unfinished step, which may have
         # popped its frame already (a dminus or an edot miss in flight)
         if jobs:
             cfg, n, popped = jobs[0][0], jobs[0][4], jobs[0][5]
         kind = NestedFuelExhausted if e.nested else FuelExhausted
         raise _Stop(kind(_tail_measures(
-            ring, _raw_sum(cfg.costs[:n] + [popped]))))
+            ring, list(_measure(cfg.costs[:n] + [popped])))))
     finally:
         tank.depth = depth0
-
-
-def _checked_step(cfg: Config, tank: FuelTank, idx: int) -> None:
-    """Spend one unit of fuel, fire, and check that the measure fell."""
-    _drive(cfg, tank, idx, idx + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +692,7 @@ def eval_iterative(u: Term, v: Value, fuel: int = DEFAULT_FUEL,
     cfg = _launch(u, v)
     tank = FuelTank(fuel)
     try:
-        return Done(_drive(cfg, tank, tail=True, on_record=on_record))
+        return Done(_drive(cfg, tank, on_record))
     except _Stop as e:
         return e.outcome
     except (EvalError, IllTyped) as e:
@@ -842,8 +803,8 @@ __all__ = [
     "Frame", "FuelExhausted", "FuelTank", "IterPending",
     "NestedFuelExhausted", "ObjectivityEntry", "ObjectivityReport",
     "Outcome", "PairLeft", "PairRight", "RestrictCheck", "StatViolation",
-    "complexity", "config_complexity", "decode_config", "decode_value",
+    "complexity", "decode_config", "decode_value",
     "encode_config", "encode_value", "eval_iterative", "eval_structural",
     "frame_cost", "objectivity_check", "outcome_kind", "sd_pair",
-    "sd_unpair", "step", "trace",
+    "sd_unpair", "trace",
 ]

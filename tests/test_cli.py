@@ -366,6 +366,37 @@ class TestUsageErrors:
         code, out, err = run_cli(["check", "--term", str(p)])
         assert (code, out, err) == (2, "", "error: term nests too deeply\n")
 
+    def test_deeply_nested_arg(self):
+        # a value, not a term: the message names what nests too deeply
+        deep = "(" * 5000 + "0" + ",0)" * 5000
+        for argv in (["eval", "--term", term_path("succ.pr")],
+                     ["run", "--term", term_path("succ.pr")],
+                     ["mu", "--term", term_path("eq0.pr")],
+                     ["cci", "--term", term_path("gcd.cci")],
+                     ["choice", "--term", term_path("succ.pr")]):
+            assert run_cli(argv + ["--arg", deep]) == (
+                2, "", "error: value nests too deeply\n"), argv[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["quote"], ["eval", "--arg", "1"], ["run", "--arg", "1"],
+        ["cci", "--arg", "(1,1)"], ["choice"], ["mu", "--arg", "1"],
+        ["corpus"],
+    ], ids=lambda argv: argv[0])
+    def test_term_file_not_utf8(self, tmp_path, argv):
+        p = tmp_path / "bad.pr"
+        p.write_bytes(b"\xff\xfesucc\n")
+        assert run_cli(argv + ["--term", str(p)]) == (
+            2, "", f"error: {p} is not UTF-8 text: byte 0xff at offset 0\n")
+
+    def test_corpus_member_not_utf8(self, tmp_path):
+        (tmp_path / "succ.pr").write_text((CORPUS / "succ.pr").read_text())
+        (tmp_path / "bad.pr").write_bytes(b"(comp succ \xe9)\n")
+        listing = tmp_path / "two.txt"
+        listing.write_text("succ.pr samples=2\nbad.pr\n")
+        assert run_cli(["corpus", "--term", str(listing)]) == (
+            2, "", f"error: {tmp_path / 'bad.pr'} is not UTF-8 text: "
+                   f"byte 0xe9 at offset 11\n")
+
     def test_numeral_past_the_digit_limit(self, digit_limit):
         code, out, err = run_cli(["eval", "--term", term_path("succ.pr"),
                                   "--arg", "9" * 5000])

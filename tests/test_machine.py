@@ -1,6 +1,7 @@
 """Step machine: descent, outcomes, configuration coding, reflected ops."""
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,9 @@ from prcalc.gen import random_value
 from prcalc.machine import (
     Config, DescentViolation, Done, EvalFailure, FuelExhausted,
     FuelTank, IterPending, NestedFuelExhausted, PairLeft, RestrictCheck,
-    complexity, config_complexity, decode_config, decode_value,
-    encode_config, encode_value, eval_iterative, frame_cost,
-    objectivity_check, sd_pair, sd_unpair, step, trace,
+    complexity, decode_config, decode_value, encode_config, encode_value,
+    eval_iterative, frame_cost, objectivity_check, sd_pair, sd_unpair,
+    trace,
 )
 from prcalc.ordinal import descent_check, ord_brackets, ord_cmp, ord_nat_sum
 from prcalc.surface import parse_term
@@ -32,6 +33,48 @@ P = PairV
 
 def nat2(m, k):
     return P(N(m), N(k))
+
+
+def recomputed(cfg):
+    # the measure from scratch: a natural-sum fold over the frame costs
+    total = ()
+    for fr in cfg.frames:
+        total = ord_nat_sum(total, frame_cost(fr))
+    return total
+
+
+class _Paused(Exception):
+    pass
+
+
+def run_to(t, v, steps, fuel=10 ** 5):
+    # the live root configuration of a run of t on v, read through
+    # on_record just before its step `steps`
+    def record(i, cfg):
+        if i == steps:
+            raise _Paused(cfg)
+
+    with pytest.raises(_Paused) as paused:
+        eval_iterative(t, v, fuel, on_record=record)
+    return paused.value.args[0]
+
+
+def run_kept(t, v, fuel):
+    # the outcome of a run of t on v and its root configuration, which
+    # the run leaves where it stopped
+    kept = []
+    out = eval_iterative(t, v, fuel,
+                         on_record=lambda i, cfg: kept or kept.append(cfg))
+    return out, kept[0]
+
+
+def least_fuel(t, v):
+    # the least fuel that runs t on v to Done: fuel counts every step,
+    # nested ones included
+    fuel = 0
+    while not isinstance(eval_iterative(t, v, fuel), Done):
+        fuel += 1
+    return fuel
 
 
 # one : N -> N and the power map, an iteration nested three deep
@@ -65,14 +108,16 @@ class TestComplexity:
 
     def test_config_complexity(self):
         empty = Config([], N(0), NAT)
-        assert config_complexity(empty) == ()
-        assert config_complexity(Config([Succ()], N(0), NAT)) == (1,)
+        assert empty.ord() == recomputed(empty) == ()
+        cfg = Config([Succ()], N(0), NAT)
+        assert cfg.ord() == recomputed(cfg) == (1,)
         cfg = Config([IterPending(Succ(), 3)], N(0), NAT)
-        assert config_complexity(cfg) == (7,)
-        assert cfg.ord() == (7,)
+        assert cfg.ord() == recomputed(cfg) == (7,)
+        cfg = Config([Iter(Succ()), IterPending(Succ(), 3), Succ()], N(0), NAT)
+        assert cfg.ord() == recomputed(cfg) == (9, 1)
 
     def test_incremental_matches_recomputed(self):
-        # stored costs and the lazily built running total stay equal to a
+        # stored costs and the measure summed from them stay equal to a
         # from-scratch recomputation while the local descent check runs
         rng = random.Random(5)
         cases = [(POW, nat2(2, 3)), (DMinus(Id(NAT), pred), N(3))]
@@ -80,60 +125,64 @@ class TestComplexity:
                      "shrink_decay.pr", "cond_two.pr"):
             t = parse_term((CORPUS / name).read_text())
             cases.append((t, random_value(rng, typecheck(t)[0], 5)))
+        def check(i, cfg):
+            assert cfg.costs == [frame_cost(f) for f in cfg.frames]
+            assert cfg.ord() == recomputed(cfg)
+
         for t, v in cases:
-            cfg = machine._launch(t, v)
-            tank = FuelTank(10 ** 5)
-            for idx in range(3000):
-                if cfg.halted():
-                    break
-                machine._checked_step(cfg, tank, idx)
-                assert cfg.costs == [frame_cost(f) for f in cfg.frames]
-                assert cfg.ord() == config_complexity(cfg)
-            assert cfg.halted(), t
+            out = eval_iterative(t, v, 10 ** 5, on_record=check)
+            assert isinstance(out, Done), t
 
 
 class TestStep:
     def test_succ_single_step(self):
-        cfg = machine._launch(Succ(), N(4))
-        step(cfg)
+        out, cfg = run_kept(Succ(), N(4), 10)
+        assert out == Done(N(5))
         assert cfg.halted() and cfg.current == N(5)
+        assert least_fuel(Succ(), N(4)) == 1
 
     def test_iter_unfolds_to_pending(self):
-        cfg = machine._launch(Iter(Succ()), nat2(3, 2))
-        step(cfg)
+        cfg = run_to(Iter(Succ()), nat2(3, 2), 1)
         assert cfg.frames == [IterPending(Succ(), 2)]
         assert cfg.current == N(3)
 
     def test_dminus_runs_its_nested_jobs(self):
-        tank = FuelTank(1000)
-        cfg = step(Config([DMinus(Id(NAT), pred)], N(3), NAT), tank)
-        assert cfg.halted() and cfg.current == nat2(3, 3)
-        assert cfg.value_obj == NN
-        # the nested runs spend fuel; the fired step itself spends none
-        assert (tank.remaining, tank.depth) == (912, 0)
+        t = DMinus(Id(NAT), pred)
+        out, cfg = run_kept(t, N(3), 1000)
+        assert out == Done(nat2(3, 3))
+        assert cfg.halted() and cfg.value_obj == NN
+        # the step itself spends one unit, its nested runs the other 88
+        assert least_fuel(t, N(3)) == 89
 
     def test_edot_miss_steps_the_decoded_config(self, monkeypatch):
-        # (code, arg, fuel left, decoded result, memo entries): a unit-cost
+        # (code, arg, least fuel, decoded result, memo entries): a unit-cost
         # reflected step is memoised, one that ran nested jobs is not
-        cases = [(Succ(), 4, 999, N(5), 1),
-                 (DMinus(Id(NAT), pred), 3, 911, nat2(3, 3), 0)]
-        for t, a, left, result, memoised in cases:
+        cases = [(Succ(), 4, 2, N(5), 1),
+                 (DMinus(Id(NAT), pred), 3, 90, nat2(3, 3), 0)]
+        for t, a, fuel, result, memoised in cases:
             monkeypatch.setattr(machine, "_estep_memo", {})
-            tank = FuelTank(1000)
-            cfg = Config([EDot()], P(N(num(quote(t))), N(a)), NN)
-            step(cfg, tank)
+            arg = P(N(num(quote(t))), N(a))
+            # one unit short stops a nested step and memoises nothing
+            short = eval_iterative(EDot(), arg, fuel - 1)
+            assert isinstance(short, NestedFuelExhausted)
+            assert machine._estep_memo == {}
+            out, cfg = run_kept(EDot(), arg, fuel)
+            assert isinstance(out, Done)
             assert cfg.halted() and cfg.value_obj == NN
-            assert (tank.remaining, tank.depth) == (left, 0)
-            sub = machine._config_from_nums(cfg.current.left.n,
-                                            cfg.current.right.n)
+            sub = machine._config_from_nums(out.value.left.n,
+                                            out.value.right.n)
             assert sub.halted() and sub.current == result
             assert len(machine._estep_memo) == memoised
 
     def test_empty_stack_is_fixed_point(self):
+        # the stationarity probe that closes every run fires the empty
+        # stack, which must change nothing and spend no fuel
         cfg = Config([], N(9), NAT)
         before = cfg.current
-        step(cfg)
+        tank = FuelTank(10)
+        assert machine._fire(cfg, tank) is None
         assert cfg.halted() and cfg.current is before
+        assert cfg.value_obj == NAT and tank.remaining == 10
 
 
 class TestEvalIterative:
@@ -165,18 +214,22 @@ class TestEvalIterative:
             eval_iterative(Succ(), UNITV, 10)
 
     def test_termination_index_is_least_zero(self):
+        # the run stops at the first empty stack: every recorded step has
+        # a frame to fire, and the step count is exactly the fuel needed
         records = []
-        out = eval_iterative(add, nat2(1, 2), 10 ** 4,
-                             on_record=lambda i, c: records.append(i))
+
+        def record(i, cfg):
+            assert not cfg.halted() and cfg.ord() != ()
+            records.append(i)
+
+        out, cfg = run_kept(add, nat2(1, 2), 10 ** 4)
+        assert eval_iterative(add, nat2(1, 2), 10 ** 4,
+                              on_record=record) == out
         assert isinstance(out, Done)
-        cfg = machine._launch(add, nat2(1, 2))
-        tank = FuelTank(10 ** 4)
-        count = 0
-        while not cfg.halted():
-            step(cfg, tank)
-            count += 1
-        assert count == len(records)
+        assert records == list(range(len(records)))
+        assert cfg.halted() and cfg.ord() == ()
         assert cfg.current == out.value
+        assert least_fuel(add, nat2(1, 2)) == len(records)
 
     def test_descent_violation_detected(self, misprice):
         # the pair misprices only its inner composition, so descent breaks
@@ -188,13 +241,11 @@ class TestEvalIterative:
             assert isinstance(out, DescentViolation)
             assert out.step == broken_at
             assert ord_cmp(out.after, out.before) >= 0
-            cfg = machine._launch(t, N(0))
-            tank = FuelTank(100)
-            for _ in range(out.step):
-                step(cfg, tank)
-            assert config_complexity(cfg) == out.before
-            step(cfg, tank)
-            assert config_complexity(cfg) == out.after
+            cfg = run_to(t, N(0), out.step, 100)
+            assert cfg.ord() == recomputed(cfg) == out.before
+            again, cfg = run_kept(t, N(0), 100)
+            assert again == out
+            assert cfg.ord() == recomputed(cfg) == out.after
 
     def test_mispriced_runs_store_only_real_costs(self, misprice,
                                                   monkeypatch):
@@ -301,35 +352,30 @@ class TestValueCoding:
 
 class TestConfigCoding:
     def test_round_trip_mid_run(self):
-        cfg = machine._launch(Pair(add, ProjL(NAT, NAT)), nat2(2, 3))
-        tank = FuelTank(10 ** 4)
-        seen_pairleft = False
-        while not cfg.halted():
+        seen = []
+
+        def round_trip(i, cfg):
             code, value = encode_config(cfg)
             typecheck(code)
             back = decode_config(code, value)
             assert back.frames == cfg.frames
             assert back.current == cfg.current
             assert back.value_obj == cfg.value_obj
-            seen_pairleft = seen_pairleft or any(
-                isinstance(fr, PairLeft) for fr in cfg.frames)
-            step(cfg, tank)
-        assert seen_pairleft
+            seen.extend(type(fr) for fr in cfg.frames)
+
+        out = eval_iterative(Pair(add, ProjL(NAT, NAT)), nat2(2, 3),
+                             10 ** 4, on_record=round_trip)
+        assert out == Done(P(N(5), N(2)))
+        assert PairLeft in seen
 
     def test_relaunch_same_result(self):
-        cfg = machine._launch(mul, nat2(3, 4))
-        tank = FuelTank(10 ** 5)
-        for _ in range(25):
-            step(cfg, tank)
-        code, value = encode_config(cfg)
+        code, value = encode_config(run_to(mul, nat2(3, 4), 25))
         relaunched = eval_iterative(code, value, 10 ** 5)
         direct = eval_iterative(mul, nat2(3, 4), 10 ** 5)
         assert relaunched == direct == Done(N(12))
 
     def test_num_level_round_trip(self):
-        cfg = machine._launch(Comp(Succ(), Succ()), N(0))
-        tank = FuelTank(100)
-        step(cfg, tank)
+        cfg = run_to(Comp(Succ(), Succ()), N(0), 1, 100)
         nu, nv = machine._config_to_nums(cfg)
         back = machine._config_from_nums(nu, nv)
         assert back.frames == cfg.frames
@@ -337,11 +383,7 @@ class TestConfigCoding:
 
     def test_structural_eval_of_fold(self):
         # the folded chain evaluates to the machine's eventual result
-        cfg = machine._launch(add, nat2(2, 3))
-        tank = FuelTank(10 ** 4)
-        for _ in range(4):
-            step(cfg, tank)
-        code, value = encode_config(cfg)
+        code, value = encode_config(run_to(add, nat2(2, 3), 4))
         assert eval_structural(code, value) == N(5)
 
 
@@ -388,6 +430,15 @@ class TestReflected:
         out = eval_iterative(t, N(3), 1000)
         assert out == Done(P(N(3), N(3)))
         assert eval_iterative(t, N(0), 1000) == Done(P(N(0), N(0)))
+
+    def test_dminus_at_every_small_fuel_ends_in_an_outcome(self):
+        # the step spends one unit and its nested runs 88 more: fuel 0
+        # stops the root, 1-88 stop a nested run, 89 and up finish
+        t = DMinus(Id(NAT), pred)
+        kinds = Counter(type(eval_iterative(t, N(3), f)).__name__
+                        for f in range(120))
+        assert kinds == {"Done": 31, "FuelExhausted": 1,
+                         "NestedFuelExhausted": 88}
 
     def test_dminus_nested_fuel(self):
         t = DMinus(Id(NAT), Id(NAT))  # measure never reaches zero
@@ -514,13 +565,3 @@ class TestTail:
             records = self.check_tail(t, sub, fuel, NestedFuelExhausted)
             assert len(records) == 5
             assert _top_frame(records[-1]) == "Apply:edot"
-
-    def test_no_running_total_without_on_record(self, monkeypatch):
-        def refuse(acc, o):
-            raise AssertionError("the step loop kept a running total")
-
-        monkeypatch.setattr(machine, "_acc_add", refuse)
-        assert eval_iterative(add, nat2(2, 3), 10 ** 4) == Done(N(5))
-        assert eval_iterative(POW, nat2(2, 3), 10 ** 5) == Done(N(8))
-        assert (eval_iterative(DMinus(Id(NAT), pred), N(3), 1000)
-                == Done(nat2(3, 3)))
