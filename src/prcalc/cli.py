@@ -27,8 +27,8 @@ from .diagonal import liar_report_lines, run_liar
 from .gen import random_value
 from .machine import (
     DEFAULT_FUEL, DescentViolation, Done, EvalFailure, FuelExhausted,
-    NestedFuelExhausted, Outcome, StatViolation, eval_iterative, frame_cost,
-    objectivity_check, trace,
+    NestedFuelExhausted, Outcome, StatViolation, check_arg, eval_iterative,
+    frame_cost, objectivity_check, trace,
 )
 from .ordinal import LESS, Ord, ord_brackets, ord_cmp
 from .partial import (
@@ -173,6 +173,7 @@ def _cmd_eval(a) -> int:
     t = _load_term(_need(a.term, "--term", "eval"))
     v = _arg(a, "eval")
     if a.mode == "structural":
+        check_arg(t, v)  # the check the machine makes when it starts
         try:
             got: Outcome = Done(eval_structural(t, v))
         except EvalError as e:

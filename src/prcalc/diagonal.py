@@ -7,9 +7,11 @@ assembles an evaluation code that runs an encoded predicate on a number,
 then feeds it its own position in the predicate enumeration, negated.
 That antidiagonal predicate cannot consistently answer at its own index,
 so the run is driven under a fuel bound and the report records what the
-machine actually does with the regress.  The regress is a tower about
-fuel/15 reflected levels deep; the machine keeps it on its own job stack,
-so the probe runs on the calling thread at any fuel.
+machine actually does with the regress.  The regress is a reflected
+tower whose levels repeat.  The machine keeps it on its own job stack,
+so the probe runs on the calling thread, and detects the repeat a few
+levels up: the probe spends a few dozen steps at any fuel and reports
+what the full climb would report when its fuel ran out.
 
 A finished value would have to equal its own negation, which no value of
 Two does; the verdict ContradictionValue is therefore reserved for a

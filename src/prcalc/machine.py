@@ -20,7 +20,13 @@ zero, running this same machine on a shared fuel tank.
 Fuel counts machine steps, including every step taken inside reflected
 runs, so one budget bounds the total work of an evaluation.  Nested runs
 are jobs on one explicit stack (`_drive`), not host recursion, so the
-reflection depth is bounded by fuel alone.  `eval_iterative` is the one
+reflection depth is bounded by fuel alone.  A transition waiting on a
+nested run is suspended as a continuation record (`DMinusK`, `EDotK`),
+plain data, so a suspended job can be compared field by field.  A
+self-applying code climbs a reflective tower whose levels repeat; when a
+newly suspended job equals one of its ancestors (`_repeats`), the job
+would never return, and the run stops with the outcome it would reach
+when its fuel ran out, the tank drained.  `eval_iterative` is the one
 way into that loop, and `_measure` the one computation of a
 configuration's measure from its stored frame costs.
 """
@@ -28,7 +34,7 @@ configuration's measure from its stored frame costs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -372,7 +378,7 @@ _BASIC_T = frozenset((Id, Bang, ZeroC, Succ, ProjL, ProjR, TrueC, FalseC,
 
 def _fire(cfg: Config, tank: FuelTank):
     """One transition; no-op on the empty stack (stationarity).  Returns
-    None, or a generator when the transition needs nested runs."""
+    None, or (record, child) when the transition needs a nested run."""
     if not cfg.frames:
         return
     top = cfg.frames[-1]
@@ -442,7 +448,7 @@ def _apply(cfg: Config, u: Term, tank: FuelTank):
         cfg._push(u.f, apply_cost(u.f))
     elif t is DMinus:
         cfg._pop()
-        return _dminus(cfg, u)
+        return _dminus_next(DMinusK(u, cfg.current, cfg.current, 0, True))
     elif t is CDot:
         nu, _ = _reflected_input(cfg.current)
         cfg._pop()
@@ -459,7 +465,10 @@ def _apply(cfg: Config, u: Term, tank: FuelTank):
         cfg._pop()
         hit = _estep_memo.get((nu, nv))
         if hit is None:
-            return _edot_miss(cfg, nu, nv, tank)
+            sub = _config_from_nums(nu, nv)
+            cfg.value_obj = NN
+            # a halted configuration is a fixed point of the reflected step
+            return (EDotK(nu, nv, tank.remaining), sub) if sub.frames else None
         # replay the recorded step: same single spend at nested depth,
         # so exhaustion surfaces exactly as it would on a fresh compute.
         # The step's descent was checked when it was first computed and
@@ -492,41 +501,74 @@ def _reflected_input(v: Value) -> Tuple[int, int]:
     raise EvalError("reflected operator expects a pair of numbers")
 
 
-# Transitions that need nested runs are generators yielding requests:
-# (_RUN, code, value) runs code on value to the empty stack, (_STEP, sub)
-# takes one checked step of sub; `_drive` sends back the run's value.
-_RUN, _STEP = "run", "step"
+# A transition that needs a nested run suspends its job with a
+# continuation record and the config of the child job that runs next: a
+# DMinusK child runs a code on a value to the empty stack, an EDotK child
+# takes one step of a decoded config.  `_resume` takes the finished child
+# and ends the transition or names the next child.
 
 
-def _dminus(cfg: Config, u: DMinus):
-    a = cfg.current
-    dom_p, _ = typecheck(u.p)
-    s, k = a, 0
-    while True:
-        r = yield _RUN, u.c, s
-        if not isinstance(r, NatV):
-            raise EvalError("reflected measure returned a non-number")
-        if r.n == 0:
-            break
-        s = yield _RUN, u.p, s
-        k += 1
-    cfg.current = PairV(a, NatV(k))
-    cfg.value_obj = Prod(dom_p, NAT)
+@dataclass(frozen=True)
+class DMinusK:
+    # the descent search u at argument a: state s after count steps of
+    # u.p, with the measure u.c running on s or u.p running on it
+    u: DMinus
+    a: Value
+    s: Value
+    count: int
+    measuring: bool
 
 
-def _edot_miss(cfg: Config, nu: int, nv: int, tank: FuelTank):
-    sub = _config_from_nums(nu, nv)
-    if sub.frames:
-        fuel_before = tank.remaining
-        yield _STEP, sub
+@dataclass(frozen=True)
+class EDotK:
+    # the reflected step of config (nu, nv); fuel_before only decides
+    # whether the step is memoised, never a result
+    nu: int
+    nv: int
+    fuel_before: int = field(compare=False)
+
+
+def _dminus_next(k: DMinusK) -> Tuple[DMinusK, Config]:
+    code = k.u.c if k.measuring else k.u.p
+    return k, Config([code], k.s, typecheck(code)[0])
+
+
+def _resume(cfg: Config, k, sub: Config, tank: FuelTank):
+    """Resume the suspended transition k with its finished child job sub:
+    None when the transition is done, else the next (record, child)."""
+    if type(k) is EDotK:
         out = _config_to_nums(sub)
         # only cache steps that cost exactly one unit: anything that
         # recursed into a nested run has fuel effects of its own
-        if tank.remaining == fuel_before - 1:
-            memo_store(_estep_memo, (nu, nv), out)
+        if tank.remaining == k.fuel_before - 1:
+            memo_store(_estep_memo, (k.nu, k.nv), out)
         cfg.current = PairV(NatV(out[0]), NatV(out[1]))
-    # a halted configuration is a fixed point of the reflected step
-    cfg.value_obj = NN
+        return None
+    r = sub.current
+    if not k.measuring:
+        return _dminus_next(DMinusK(k.u, k.a, r, k.count + 1, True))
+    if not isinstance(r, NatV):
+        raise EvalError("reflected measure returned a non-number")
+    if r.n:
+        return _dminus_next(DMinusK(k.u, k.a, k.s, k.count, False))
+    cfg.current = PairV(k.a, NatV(k.count))
+    cfg.value_obj = Prod(typecheck(k.u.p)[0], NAT)
+    return None
+
+
+def _repeats(jobs: list) -> bool:
+    """Whether the newly suspended job, at index i of the stack, equals
+    the one at index 2^floor(log2 i) - 1 (Brent's cycle detection), field
+    by field but for a root's recorders.  The machine is deterministic
+    and memoises only unit-cost steps, which suspend nothing, so such a
+    job would repeat the ancestor's path one period deeper, forever."""
+    i = len(jobs) - 1
+    if not i:
+        return False
+    job, anc = jobs[i], jobs[(1 << i.bit_length() - 1) - 1]
+    c, a = job[0], anc[0]
+    return (job[1:6] == anc[1:6] and c.current == a.current
+            and c.value_obj == a.value_obj and c.frames == a.frames)
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +594,17 @@ def _drive(cfg: Config, tank: FuelTank,
     job is a config stepped from index 0 to the empty stack (stop -1: a
     run, closed by the stationarity probe; the root is one) or up to
     index stop; every step spends one unit of fuel and checks descent.
-    A transition that returns a generator suspends its job; each request
-    starts a job one reflected level deeper (tank.depth) whose result
-    resumes the generator, and the step then finishes with its descent
-    check.  Only the root job feeds on_record and a ring of its last ten
-    steps as (index, popped cost, pushed sum); when fuel runs out the
-    ring becomes the tail of (index, measure after the step) of the fuel
-    outcome it stops with.
+    A transition that needs a nested run suspends its job with a
+    continuation record k and starts the child job one reflected level
+    deeper (tank.depth); the finished child resumes k (`_resume`), and
+    the step then finishes with its descent check.  Only the root job
+    feeds on_record and a ring of its last ten steps as (index, popped
+    cost, pushed sum); when fuel runs out the ring becomes the tail of
+    (index, measure after the step) of the fuel outcome it stops with.
+
+    Each newly suspended job is compared with one ancestor (`_repeats`).
+    An equal job never returns, so the run drains the tank and stops as
+    it would have once the tower below it ran dry.
 
     Every transition pops exactly the top frame and pushes zero to two
     frames on top of the rest of the stack.  The natural sum is
@@ -568,38 +614,20 @@ def _drive(cfg: Config, tank: FuelTank,
     check.  Whole measures (`_measure`) are built only to report a
     violation, and the tail's only when fuel runs out.
     """
-    jobs: list = []  # suspended (cfg, idx, stop, gen, n, popped, rec, tl)
+    jobs: list = []  # suspended (cfg, idx, stop, k, n, popped, rec, tl)
     depth0, rec = tank.depth, on_record
     ring = tl = deque(maxlen=10)
     idx, stop = 0, -1
-    gen = sent = n = popped = None
+    n = popped = None
     try:
         while True:
-            if gen is not None:
-                try:
-                    req = gen.send(sent)
-                except StopIteration:
-                    gen = None
-                else:
-                    jobs.append((cfg, idx, stop, gen, n, popped, rec, tl))
-                    tank.depth += 1
-                    idx, gen, rec, tl = 0, None, None, None
-                    if req[0] is _STEP:
-                        cfg, stop = req[1], 1
-                    else:
-                        dom, _ = typecheck(req[1])
-                        cfg, stop = Config([req[1]], req[2], dom), -1
-                    continue
-            elif cfg.frames and idx != stop:
+            if cfg.frames and idx != stop:
                 if rec is not None:
                     rec(idx, cfg)
                 n = len(cfg.costs) - 1
                 popped = cfg.costs[n]
                 tank.spend()
-                gen = _fire(cfg, tank)
-                if gen is not None:
-                    sent = None
-                    continue
+                nxt = _fire(cfg, tank)
             else:
                 if stop < 0:
                     # stationarity probe: stepping the empty stack is a no-op
@@ -610,17 +638,27 @@ def _drive(cfg: Config, tank: FuelTank,
                         raise _Stop(StatViolation(idx))
                 if not jobs:
                     return cfg.current
-                sent = cfg.current
-                cfg, idx, stop, gen, n, popped, rec, tl = jobs.pop()
+                sub = cfg
+                cfg, idx, stop, k, n, popped, rec, tl = jobs.pop()
                 tank.depth -= 1
+                nxt = _resume(cfg, k, sub, tank)
+            if nxt is not None:
+                k, sub = nxt
+                jobs.append((cfg, idx, stop, k, n, popped, rec, tl))
+                if _repeats(jobs):
+                    tank.remaining = 0
+                    raise _OutOfFuel(nested=True)
+                tank.depth += 1
+                cfg, idx, rec, tl = sub, 0, None, None
+                stop = 1 if type(k) is EDotK else -1
                 continue
             # every transition pushes zero, one or two frames
             costs = cfg.costs
-            k = len(costs) - n
-            if k == 2:
+            m = len(costs) - n
+            if m == 2:
                 pushed = ord_nat_sum(costs[n], costs[n + 1])
             else:
-                pushed = costs[n] if k else ()
+                pushed = costs[n] if m else ()
             if ord_cmp(pushed, popped) != LESS:
                 raise _Stop(DescentViolation(
                     idx, _measure(costs[:n] + [popped]), _measure(costs)))
@@ -678,18 +716,19 @@ Outcome = Union[Done, FuelExhausted, NestedFuelExhausted, DescentViolation,
                 StatViolation, EvalFailure]
 
 
-def _launch(u: Term, v: Value) -> Config:
+def check_arg(u: Term, v: Value) -> Obj:
+    """The domain of u, once v is known to fit it (else TypeMismatch)."""
     dom, _ = typecheck(u)
     if not shape_fits(dom, v):
         raise TypeMismatch(f"argument does not fit {dom}")
-    return Config([u], v, dom)
+    return dom
 
 
 def eval_iterative(u: Term, v: Value, fuel: int = DEFAULT_FUEL,
                    on_record: Optional[Callable[[int, Config], None]] = None,
                    ) -> Outcome:
     """Run the machine from ([u], v) until complexity zero."""
-    cfg = _launch(u, v)
+    cfg = Config([u], v, check_arg(u, v))
     tank = FuelTank(fuel)
     try:
         return Done(_drive(cfg, tank, on_record))
@@ -803,7 +842,7 @@ __all__ = [
     "Frame", "FuelExhausted", "FuelTank", "IterPending",
     "NestedFuelExhausted", "ObjectivityEntry", "ObjectivityReport",
     "Outcome", "PairLeft", "PairRight", "RestrictCheck", "StatViolation",
-    "complexity", "decode_config", "decode_value",
+    "check_arg", "complexity", "decode_config", "decode_value",
     "encode_config", "encode_value", "eval_iterative", "eval_structural",
     "frame_cost", "objectivity_check", "outcome_kind", "sd_pair",
     "sd_unpair", "trace",

@@ -1,4 +1,5 @@
-"""Shared fixtures: the run with every cache and host row off."""
+"""Shared fixtures: the run with every cache and host row off, and the
+run without the machine's regress check."""
 
 import contextlib
 from unittest import mock
@@ -41,6 +42,17 @@ def plain():
     oracle for the host rows."""
     def run(fn, *args):
         with _off():
+            return fn(*args)
+    return run
+
+
+@pytest.fixture
+def regress_off():
+    """regress_off(fn, *args) calls fn with the machine's regress check
+    off: a reflective tower whose levels repeat then climbs until its
+    fuel runs out.  The oracle for the check."""
+    def run(fn, *args):
+        with mock.patch.object(machine, "_repeats", lambda jobs: False):
             return fn(*args)
     return run
 

@@ -49,6 +49,12 @@ class TestEval:
         i = run_cli(argv + ["--mode", "iterative"])
         assert s == i == (0, "42\n", "")
 
+    def test_argument_outside_the_domain_exits_two_in_both_modes(self):
+        argv = ["eval", "--term", term_path("succ.pr"), "--arg", "(1,2)"]
+        for mode in ("structural", "iterative"):
+            got = run_cli(argv + ["--mode", mode])
+            assert got == (2, "", "error: argument does not fit Nat\n")
+
     def test_unit_value_literal(self):
         code, out, _ = run_cli(["eval", "--term", term_path("bang_nat.pr"),
                                 "--arg", "7"])
